@@ -3,10 +3,13 @@
 Fixed points are searched in description space rather than word space: a fixed
 point renders its own description, which forces the count identity
 sum(c_j) == sum(digit_length(c_j) + 1) and keeps every count within a few
-units of the block count. Cycle search seeds orbits from image words only,
-because a cycle element is always the image of its predecessor in the cycle.
-A plain word-by-word classifier doubles as the completeness oracle for small
-bases; it applies no pruning at all.
+units of the block count. Cycle search works on tallies (letter-count
+vectors) rather than words: the step map reads a word only through its tally,
+so every cycle of words is a cycle of the induced map on tallies. Orbits are
+seeded from the tallies of image words only, because a cycle element is
+always the image of its predecessor in the cycle, and words are rendered only
+for the cycles found. A plain word-by-word classifier doubles as the
+completeness oracle for small bases; it applies no pruning at all.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from .core import Block, Description, Word, _numeral_digits, _step, check_base, 
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 
 DEFAULT_BUDGET = 10**8
+
+Tally = tuple[int, ...]  # letter counts indexed by letter, length base
 
 
 class BudgetExceeded(RuntimeError):
@@ -165,8 +170,9 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
     Complete for the default length limit (the eventual orbit length cap):
     any fixed point recurs forever, so its length fits under the cap and its
     description counts sum to its own length. Candidates come from
-    description space, so the search touches thousands of words, not
-    base**length. The budget caps generated candidates and guards against
+    description space and are checked by tally, so the search touches
+    thousands of candidates, not base**length words, and renders only the
+    fixed points. The budget caps generated candidates and guards against
     large-base blowup.
     """
     check_base(base)
@@ -181,36 +187,61 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
         if not tuples_r:
             continue
         remaining -= len(tuples_r) * letter_sets
-        for letters in combinations(range(base - 1, -1, -1), r):
-            for counts in tuples_r:
-                candidate = Description(tuple(map(Block, counts, letters)), base)
-                if not fixed_point_inequality_holds(candidate):
-                    continue
-                word = render(candidate)
-                tally = [0] * base
-                for letter in word:
-                    tally[letter] += 1
+        for counts in tuples_r:
+            # the rendered word holds each block letter once plus the digits
+            # of the count numerals, so the digits are tallied once per tuple
+            digits = _digit_tally(counts, base)
+            for letters in combinations(range(base - 1, -1, -1), r):
                 # the count identity pins len(word) == sum(counts), so matching
                 # every block count leaves no room for stray letters
-                if all(tally[b] == c for c, b in candidate.blocks):
-                    found.add(word)
+                if all(digits[b] + 1 == c for c, b in zip(counts, letters)):
+                    found.add(render(Description(tuple(map(Block, counts, letters)), base)))
     return found
 
 
-def _compositions_capped(r: int, total: int):
-    """Yield every r-tuple of positive integers with sum <= total."""
+def _digit_tally(counts: tuple[int, ...], base: int) -> list[int]:
+    """How often each letter occurs among the base-k numerals of ``counts``."""
+    tally = [0] * base
+    for c in counts:
+        for d in _numeral_digits(c, base):
+            tally[d] += 1
+    return tally
+
+
+def _tally_image(tally: Tally, base: int) -> Tally:
+    """The tally of step(w) for every word w whose tally is ``tally``.
+
+    The image spells each present letter once, after the numeral of its
+    count, so letter d occurs once if it is present plus once per digit d
+    among the count numerals.
+    """
+    out = _digit_tally([c for c in tally if c], base)
+    for b, c in enumerate(tally):
+        if c:
+            out[b] += 1
+    return tuple(out)
+
+
+def _render_tally(tally: Tally, base: int) -> Word:
+    """step(w) for every word w whose tally is ``tally``."""
+    blocks = tuple(Block(tally[b], b) for b in range(base - 1, -1, -1) if tally[b])
+    return render(Description(blocks, base))
+
+
+def _count_multisets(r: int, limit: int):
+    """Yield every nondecreasing r-tuple of positive integers with sum <= limit."""
     prefix = [0] * r
 
-    def extend(pos: int, left: int):
+    def extend(pos: int, low: int, left: int):
         slots = r - pos
         if slots == 0:
             yield tuple(prefix)
             return
-        for c in range(1, left - (slots - 1) + 1):
+        for c in range(low, left // slots + 1):
             prefix[pos] = c
-            yield from extend(pos + 1, left - c)
+            yield from extend(pos + 1, c, left - c)
 
-    yield from extend(0, total)
+    yield from extend(0, 1, limit)
 
 
 def _resolve_terminal(
@@ -257,14 +288,22 @@ def enumerate_cycles(
     max_steps: int = DEFAULT_MAX_STEPS,
     budget: int | None = None,
 ) -> set[CycleRecord]:
-    """All cycles of period >= 2 whose words fit within the length limit.
+    """Every cycle of period >= 2 reached from an image of a short word.
 
-    Seeds every image of a word of length <= limit, i.e. renders every
-    description whose counts sum to at most the limit. A cycle word is the
-    image of its predecessor in the cycle and that predecessor obeys the same
-    cap, so the search starts inside every qualifying cycle rather than
-    having to reach it. Orbits share one terminal cache, so overlapping
-    basins cost a single traversal.
+    Guarantees that every cycle whose words all fit within the length limit
+    is found. The seeds are the images of all words of length <= limit, i.e.
+    the renders of every description whose counts sum to at most the limit; a
+    cycle word is the image of its predecessor in the cycle and that
+    predecessor obeys the same cap, so the search starts inside every such
+    cycle. Cycles reached from those seeds are reported too, even when their
+    words are longer than the limit, so a short custom limit can return more
+    than the cycles that fit under it.
+
+    The walk runs on tallies, not words. A seed's tally is one per block
+    letter plus the digits of its count numerals, which depend only on the
+    multiset of counts, so many seeds share a tally and each distinct one is
+    walked once. Orbits share one terminal cache keyed on tallies. The budget
+    caps the number of image seeds, counted in closed form before the search.
     """
     check_base(base)
     limit = length_bound(base).length_bound if length_limit is None else length_limit
@@ -276,17 +315,47 @@ def enumerate_cycles(
         raise BudgetExceeded(
             f"cycle search in base {base} needs {total_seeds} seeds, budget is {allowed}"
         )
-    memo: dict[Word, int] = {}
-    registry: list[CycleRecord] = []
+    seeds: set[Tally] = set()
     for r in range(1, min(base, limit) + 1):
-        for letters in combinations(range(base - 1, -1, -1), r):
-            for counts in _compositions_capped(r, limit):
-                seed: list[int] = []
-                for c, b in zip(counts, letters):
-                    seed.extend(_numeral_digits(c, base))
-                    seed.append(b)
-                _resolve_terminal(tuple(seed), base, memo, registry, max_steps)
-    return {record for record in registry if record.period >= 2}
+        numeral_tallies = {
+            tuple(_digit_tally(counts, base)) for counts in _count_multisets(r, limit)
+        }
+        for letters in combinations(range(base), r):
+            for digits in numeral_tallies:
+                seed = list(digits)
+                for b in letters:
+                    seed[b] += 1
+                seeds.add(tuple(seed))
+    memo: dict[Tally, int] = {}
+    registry: list[tuple[Tally, ...]] = []
+    for seed in seeds:
+        if seed in memo:
+            continue
+        path = [seed]
+        first = {seed: 0}
+        current = seed
+        while True:
+            current = _tally_image(current, base)
+            cid = memo.get(current)
+            if cid is not None:
+                break
+            j = first.get(current)
+            if j is not None:
+                registry.append(tuple(path[j:]))
+                cid = len(registry) - 1
+                break
+            if len(path) >= max_steps:
+                raise OrbitLimitExceeded(f"no repeat within {max_steps} steps during search")
+            first[current] = len(path)
+            path.append(current)
+        for t in path:
+            memo[t] = cid
+    # the word after tally t is its render, so a tally cycle spells a word cycle
+    return {
+        canonical_cycle(tuple(_render_tally(t, base) for t in tallies), base)
+        for tallies in registry
+        if len(tallies) >= 2
+    }
 
 
 def classify(

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peadyn import (
     Block,
@@ -11,6 +13,7 @@ from peadyn import (
     canonical_cycle,
     classify,
     cycle_inequality_holds,
+    cycle_sort_key,
     describe,
     enumerate_cycles,
     enumerate_fixed_points,
@@ -24,6 +27,8 @@ from peadyn import (
     word_sort_key,
 )
 from peadyn.golden import EXPECTED_FIXED_POINTS
+from peadyn.search import _tally_image
+from expected_cycles import EXPECTED_CYCLES
 
 # The shipped expected table lists 18 words for base 6, but the search finds
 # one more: 15141211110 tallies one 5, one 4, one 2, seven 1s, one 0, and
@@ -64,6 +69,31 @@ def all_image_words(base, limit):
         for letters in combinations(range(base - 1, -1, -1), r):
             for counts in compositions_capped(r, limit):
                 yield render(Description(tuple(map(Block, counts, letters)), base))
+
+
+def tally(word, base):
+    out = [0] * base
+    for letter in word:
+        out[letter] += 1
+    return tuple(out)
+
+
+def word_level_cycles(base, limit):
+    """Terminal cycles of every image word, found by stepping words one by one
+    until one repeats: no tallies and no shared cache. Each cycle is rotated
+    to start at its smallest word."""
+    found = set()
+    for seed in all_image_words(base, limit):
+        seen = {}
+        word = seed
+        while word not in seen:
+            seen[word] = len(seen)
+            word = step(word, base)
+        cycle = list(seen)[seen[word]:]
+        if len(cycle) >= 2:
+            pivot = cycle.index(min(cycle))
+            found.add(tuple(cycle[pivot:] + cycle[:pivot]))
+    return found
 
 
 @pytest.mark.parametrize("base", [2, 3, 4, 5])
@@ -149,6 +179,38 @@ def test_base6_cycle():
     assert record.period == 2
     assert tuple(format_word(w) for w in record.words) == BASE6_CYCLE_WORDS
     assert record.closes_under_step()
+
+
+@pytest.mark.parametrize("base", [7, 8])
+def test_cycles_match_frozen_records(base):
+    expected = [
+        CycleRecord(base, len(texts), tuple(parse_word(t, base) for t in texts))
+        for texts in EXPECTED_CYCLES[base]
+    ]
+    assert sorted(enumerate_cycles(base), key=cycle_sort_key) == expected
+    assert all(record.closes_under_step() for record in expected)
+
+
+@pytest.mark.parametrize(
+    "base,limit",
+    [(2, None), (3, None), (4, None), (5, None), (3, 4), (6, 5), (6, 10), (7, 6)],
+)
+def test_cycles_match_word_level_reference(base, limit):
+    limit = length_bound(base).length_bound if limit is None else limit
+    found = enumerate_cycles(base, limit)
+    assert {record.words for record in found} == word_level_cycles(base, limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 36).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=80))
+    )
+)
+def test_tally_image_commutes_with_step(case):
+    base, letters = case
+    word = tuple(letters)
+    assert tally(step(word, base), base) == _tally_image(tally(word, base), base)
 
 
 def test_cycle_record_validation():
