@@ -1,5 +1,7 @@
 """Command line front end: step, orbit, fixed-points, cycles, verify-table, bound.
 
+Each command returns its answer once, in every output shape; ``_emit`` writes one.
+
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
 3 orbit step limit exceeded, 4 search budget exceeded.
 """
@@ -10,20 +12,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import Word, format_word, parse_word, step
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound, orbit
 from .golden import EXPECTED_FIXED_POINTS
-from .search import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    cycle_sort_key,
-    enumerate_cycles,
-    enumerate_fixed_points,
-    word_sort_key,
-)
+from .search import (DEFAULT_BUDGET, BudgetExceeded, cycle_sort_key, enumerate_cycles,
+                     enumerate_fixed_points, word_sort_key)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -33,32 +29,52 @@ EXIT_BUDGET = 4
 
 BUDGET_ENV = "PEADYN_BUDGET"
 FORMATS = ("json", "csv", "table")
+# the exit code for each error a command reports, matched in this order
+ERROR_EXITS = {ValueError: EXIT_INVALID, OrbitLimitExceeded: EXIT_ORBIT_LIMIT, BudgetExceeded: EXIT_BUDGET}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for one invocation."""
+class Result(NamedTuple):
+    """One command's answer: the json payload, csv header and rows, and table lines."""
 
-    fmt: str
-    max_steps: int = DEFAULT_MAX_STEPS
-    length_limit: int | None = None
-    margin: int = 0
-    budget: int = DEFAULT_BUDGET
-    output: Path | None = None
+    payload: object
+    header: tuple[str, ...]
+    rows: list[tuple]
+    lines: list[str]
+    code: int = EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _emit(result: Result, args: argparse.Namespace) -> int:
+    """Write ``result`` in the chosen format to stdout or ``--output``; return its exit code."""
+    fmt = args.format or ("table" if sys.stdout.isatty() else "json")
+    if fmt == "json":
+        text = json.dumps(result.payload, indent=2) + "\n"
+    elif fmt == "csv":
+        text = "".join(",".join(map(str, row)) + "\n" for row in [result.header, *result.rows])
+    else:
+        text = "".join(line + "\n" for line in result.lines)
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return result.code
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
+def _key_values(pairs: list[tuple[str, object]]) -> list[str]:
+    """Table lines with the keys padded to the widest key plus 2."""
+    width = max(len(key) for key, _ in pairs) + 2
+    return [f"{key:<{width}}{value}" for key, value in pairs]
+
+
+def _int_at_least(low: int, kind: str):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
+        return value
+
+    # argparse names the type in its "invalid ... value" message
+    parse.__name__ = f"_{kind}_int"
+    return parse
 
 
 def _base_list(text: str) -> tuple[int, ...]:
@@ -71,9 +87,7 @@ def _base_list(text: str) -> tuple[int, ...]:
 
 
 def _env_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
+    raw = os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
     try:
         value = int(raw)
     except ValueError:
@@ -83,139 +97,40 @@ def _env_budget() -> int:
     return value
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    fmt = getattr(args, "format", None)
-    if fmt is None:
-        fmt = "table" if sys.stdout.isatty() else "json"
-    budget = getattr(args, "budget", None)
-    if budget is None:
-        budget = _env_budget()
-    output = getattr(args, "output", None)
-    return RunConfig(
-        fmt=fmt,
-        max_steps=getattr(args, "max_steps", DEFAULT_MAX_STEPS),
-        length_limit=getattr(args, "length_limit", None),
-        margin=getattr(args, "margin", 0),
-        budget=budget,
-        output=Path(output) if output else None,
-    )
-
-
-def _effective_limit(cfg: RunConfig, base: int) -> int:
-    limit = cfg.length_limit if cfg.length_limit is not None else length_bound(base).length_bound
-    return limit + cfg.margin
-
-
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output is not None:
-        cfg.output.write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _csv_text(header: str, rows: list[str]) -> str:
-    return "".join(line + "\n" for line in [header, *rows])
-
-
-def cmd_step(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    word = parse_word(args.word, args.base)
+def cmd_step(args: argparse.Namespace) -> Result:
+    current = parse_word(args.word, args.base)
     iterates: list[str] = []
-    current = word
     for _ in range(args.steps):
         current = step(current, args.base)
         iterates.append(format_word(current))
-    if cfg.fmt == "json":
-        text = _json_text(iterates)
-    elif cfg.fmt == "csv":
-        text = _csv_text("step,word", [f"{i},{w}" for i, w in enumerate(iterates, start=1)])
-    else:
-        text = "".join(w + "\n" for w in iterates)
-    _emit(text, cfg)
-    return EXIT_OK
+    return Result(iterates, ("step", "word"), list(enumerate(iterates, start=1)), iterates)
 
 
-def cmd_orbit(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    word = parse_word(args.word, args.base)
-    result = orbit(word, args.base, max_steps=cfg.max_steps)
-    cycle = [format_word(w) for w in result.cycle]
-    payload = {
-        "start": format_word(result.start),
-        "transient": result.transient,
-        "period": result.period,
-        "cycle": cycle,
-    }
-    if cfg.fmt == "json":
-        text = _json_text(payload)
-    elif cfg.fmt == "csv":
-        row = f"{payload['start']},{result.transient},{result.period},{' '.join(cycle)}"
-        text = _csv_text("start,transient,period,cycle", [row])
-    else:
-        lines = [
-            f"{'start':<11}{payload['start']}",
-            f"{'transient':<11}{result.transient}",
-            f"{'period':<11}{result.period}",
-            f"{'cycle':<11}{' '.join(cycle)}",
-        ]
-        text = "".join(line + "\n" for line in lines)
-    _emit(text, cfg)
-    return EXIT_OK
+def cmd_orbit(args: argparse.Namespace) -> Result:
+    result = orbit(parse_word(args.word, args.base), args.base, max_steps=args.max_steps)
+    start, cycle = format_word(result.start), [format_word(w) for w in result.cycle]
+    payload = {"start": start, "transient": result.transient, "period": result.period, "cycle": cycle}
+    fields = (start, result.transient, result.period, " ".join(cycle))
+    return Result(payload, tuple(payload), [fields], _key_values(list(zip(payload, fields))))
 
 
-def cmd_fixed_points(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    limit = _effective_limit(cfg, args.base)
-    words = sorted(
-        enumerate_fixed_points(args.base, limit, budget=cfg.budget), key=word_sort_key
-    )
+def cmd_fixed_points(args: argparse.Namespace) -> Result:
+    limit = (args.length_limit or length_bound(args.base).length_bound) + args.margin
+    words = sorted(enumerate_fixed_points(args.base, limit, budget=args.budget), key=word_sort_key)
     texts = [format_word(w) for w in words]
-    if cfg.fmt == "json":
-        text = _json_text({"base": args.base, "bound": limit, "fixed_points": texts})
-    elif cfg.fmt == "csv":
-        rows = [f"{args.base},{t},{len(t)}" for t in texts]
-        text = _csv_text("base,word,length", rows)
-    else:
-        text = "".join(t + "\n" for t in texts)
-    _emit(text, cfg)
-    return EXIT_OK
+    payload = {"base": args.base, "bound": limit, "fixed_points": texts}
+    return Result(payload, ("base", "word", "length"), [(args.base, t, len(t)) for t in texts], texts)
 
 
-def cmd_cycles(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    limit = _effective_limit(cfg, args.base)
-    records = sorted(
-        enumerate_cycles(args.base, limit, max_steps=cfg.max_steps, budget=cfg.budget),
-        key=cycle_sort_key,
-    )
-    if cfg.fmt == "json":
-        payload = {
-            "base": args.base,
-            "length_limit": limit,
-            "cycles": [
-                {"period": rec.period, "words": [format_word(w) for w in rec.words]}
-                for rec in records
-            ],
-        }
-        text = _json_text(payload)
-    elif cfg.fmt == "csv":
-        rows = [
-            f"{args.base},{rec.period},{i},{format_word(w)}"
-            for rec in records
-            for i, w in enumerate(rec.words, start=1)
-        ]
-        text = _csv_text("base,period,position,word", rows)
-    else:
-        text = "".join(
-            f"period {rec.period}: {' '.join(format_word(w) for w in rec.words)}\n"
-            for rec in records
-        )
-    _emit(text, cfg)
-    return EXIT_OK
+def cmd_cycles(args: argparse.Namespace) -> Result:
+    limit = (args.length_limit or length_bound(args.base).length_bound) + args.margin
+    records = enumerate_cycles(args.base, limit, max_steps=args.max_steps, budget=args.budget)
+    cycles = [(c.period, [format_word(w) for w in c.words]) for c in sorted(records, key=cycle_sort_key)]
+    payload = {"base": args.base, "length_limit": limit,
+               "cycles": [{"period": period, "words": words} for period, words in cycles]}
+    rows = [(args.base, period, i, w) for period, words in cycles for i, w in enumerate(words, start=1)]
+    lines = [f"period {period}: {' '.join(words)}" for period, words in cycles]
+    return Result(payload, ("base", "period", "position", "word"), rows, lines)
 
 
 def _load_golden(base: int) -> tuple[set[Word], list[str]]:
@@ -240,155 +155,95 @@ def _load_golden(base: int) -> tuple[set[Word], list[str]]:
     return good, corrupt
 
 
-def cmd_verify_table(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+def cmd_verify_table(args: argparse.Namespace) -> Result:
     results = []
-    all_pass = True
+    lines = []
     for base in args.bases:
-        limit = length_bound(base).length_bound + cfg.margin
+        limit = length_bound(base).length_bound + args.margin
         expected, corrupt = _load_golden(base)
-        found = enumerate_fixed_points(base, limit, budget=cfg.budget)
-        missing = sorted(found - expected, key=word_sort_key)
-        extra_words = sorted(expected - found, key=word_sort_key)
-        extra = [format_word(w) for w in extra_words] + sorted(corrupt)
-        ok = not missing and not extra
-        all_pass = all_pass and ok
-        results.append(
-            {
-                "base": base,
-                "status": "pass" if ok else "fail",
-                "expected": len(expected) + len(corrupt),
-                "found": len(found),
-                "missing": [format_word(w) for w in missing],
-                "extra": extra,
-            }
-        )
-    if cfg.fmt == "json":
-        text = _json_text({"results": results, "all_pass": all_pass})
-    elif cfg.fmt == "csv":
-        rows = [
-            f"{r['base']},{r['status'].upper()},{' '.join(r['missing'])},{' '.join(r['extra'])}"
-            for r in results
-        ]
-        text = _csv_text("base,status,missing,extra", rows)
-    else:
-        lines = []
-        for r in results:
-            if r["status"] == "pass":
-                lines.append(f"base {r['base']}: PASS ({r['found']} fixed points)")
-            else:
-                parts = [f"base {r['base']}: FAIL"]
-                if r["missing"]:
-                    parts.append(f"missing: {' '.join(r['missing'])}")
-                if r["extra"]:
-                    parts.append(f"extra: {' '.join(r['extra'])}")
-                lines.append(" ".join(parts))
-        lines.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
-        text = "".join(line + "\n" for line in lines)
-    _emit(text, cfg)
-    return EXIT_OK if all_pass else EXIT_MISMATCH
+        found = enumerate_fixed_points(base, limit, budget=args.budget)
+        missing = [format_word(w) for w in sorted(found - expected, key=word_sort_key)]
+        extra = [format_word(w) for w in sorted(expected - found, key=word_sort_key)] + sorted(corrupt)
+        status = "fail" if missing or extra else "pass"
+        results.append({"base": base, "status": status, "expected": len(expected) + len(corrupt),
+                        "found": len(found), "missing": missing, "extra": extra})
+        verdict = f"PASS ({len(found)} fixed points)" if status == "pass" else "FAIL"
+        gaps = "".join(f" {k}: {' '.join(v)}" for k, v in (("missing", missing), ("extra", extra)) if v)
+        lines.append(f"base {base}: {verdict}{gaps}")
+    all_pass = all(r["status"] == "pass" for r in results)
+    lines.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
+    rows = [(r["base"], r["status"].upper(), " ".join(r["missing"]), " ".join(r["extra"])) for r in results]
+    payload = {"results": results, "all_pass": all_pass}
+    header = ("base", "status", "missing", "extra")
+    return Result(payload, header, rows, lines, EXIT_OK if all_pass else EXIT_MISMATCH)
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+def cmd_bound(args: argparse.Namespace) -> Result:
     info = length_bound(args.base)
-    if cfg.fmt == "json":
-        text = _json_text(
-            {
-                "base": info.base,
-                "length_bound": info.length_bound,
-                "words_up_to_bound": info.words_up_to_bound,
-            }
-        )
-    elif cfg.fmt == "csv":
-        row = f"{info.base},{info.length_bound},{info.words_up_to_bound}"
-        text = _csv_text("base,length_bound,words_up_to_bound", [row])
-    else:
-        lines = [
-            f"{'length_bound':<19}{info.length_bound}",
-            f"{'words_up_to_bound':<19}{info.words_up_to_bound}",
-        ]
-        text = "".join(line + "\n" for line in lines)
-    _emit(text, cfg)
-    return EXIT_OK
+    fields = (info.base, info.length_bound, info.words_up_to_bound)
+    payload = dict(zip(("base", "length_bound", "words_up_to_bound"), fields))
+    return Result(payload, tuple(payload), [fields], _key_values(list(payload.items())[1:]))
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "nonnegative")
+
+# every option once, as its flags and its add_argument keywords
+OPTIONS = {
+    "base": (("--base", "-k"), dict(type=int, required=True, help="alphabet size, 2..36")),
+    "word": (("--word", "-w"), dict(required=True, help="start word, e.g. 1001110")),
+    "steps": (("-n", "--steps"), dict(type=_positive_int, default=1, help="map applications (default 1)")),
+    "max_steps": (("--max-steps",), dict(type=_positive_int, default=DEFAULT_MAX_STEPS,
+                                         help="orbit step budget (default %(default)s)")),
+    "length_limit": (("--length-limit",), dict(type=_positive_int, help="length cap (default: the bound)")),
+    "margin": (("--margin",), dict(type=_nonnegative_int, default=0, help="extra length over the cap")),
+    "budget": (("--budget",), dict(type=_positive_int,
+                                   help=f"candidate budget (default {DEFAULT_BUDGET}, env {BUDGET_ENV})")),
+    "bases": (("--bases",), dict(type=_base_list, default=tuple(sorted(EXPECTED_FIXED_POINTS)),
+                                 help="comma separated bases to verify (default 2,3,4,5,6)")),
+    "format": (("--format",), dict(choices=FORMATS, help="output format (table on a tty, else json)")),
+    "output": (("--output",), dict(help="write output to this file")),
+}
+
+# each command's handler, help line and options, in usage order
+COMMANDS = {
+    "step": (cmd_step, "apply the counting map n times", "base word format output steps"),
+    "orbit": (cmd_orbit, "iterate to the first repeat and report the cycle",
+              "base word max_steps format output"),
+    "fixed-points": (cmd_fixed_points, "enumerate every self-describing word",
+                     "base length_limit margin budget format output"),
+    "cycles": (cmd_cycles, "enumerate every cycle of period 2 or more",
+               "base max_steps length_limit margin budget format output"),
+    "verify-table": (cmd_verify_table, "check enumeration against the shipped table",
+                     "bases margin budget format output"),
+    "bound": (cmd_bound, "print the eventual length bound and word count", "base format output"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="peadyn",
-        description="Counting dynamics on base-k words: iterate, classify, verify.",
-    )
+        prog="peadyn", description="Counting dynamics on base-k words: iterate, classify, verify.")
+    # commands without --budget still read the budget from the environment
+    parser.set_defaults(budget=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, base=True, word=False, search=False, steps=False) -> None:
-        if base:
-            p.add_argument("--base", "-k", type=int, required=True, help="alphabet size, 2..36")
-        if word:
-            p.add_argument("--word", "-w", required=True, help="start word, e.g. 1001110")
-        if steps:
-            p.add_argument("--max-steps", type=_positive_int, default=DEFAULT_MAX_STEPS,
-                           help="orbit step budget (default 10000)")
-        if search:
-            p.add_argument("--length-limit", type=_positive_int, default=None,
-                           help="search length cap (default: the eventual length bound)")
-            p.add_argument("--margin", type=_nonnegative_int, default=0,
-                           help="extra length on top of the cap")
-            p.add_argument("--budget", type=_positive_int, default=None,
-                           help=f"candidate budget (default {DEFAULT_BUDGET}, env {BUDGET_ENV})")
-        p.add_argument("--format", choices=FORMATS, default=None,
-                       help="output format (default: table on a terminal, json otherwise)")
-        p.add_argument("--output", default=None, help="write output to this file")
-
-    p_step = sub.add_parser("step", help="apply the counting map n times")
-    add_common(p_step, word=True)
-    p_step.add_argument("-n", "--steps", type=_positive_int, default=1, dest="steps",
-                        help="number of applications (default 1)")
-    p_step.set_defaults(handler=cmd_step)
-
-    p_orbit = sub.add_parser("orbit", help="iterate to the first repeat and report the cycle")
-    add_common(p_orbit, word=True, steps=True)
-    p_orbit.set_defaults(handler=cmd_orbit)
-
-    p_fixed = sub.add_parser("fixed-points", help="enumerate every self-describing word")
-    add_common(p_fixed, search=True)
-    p_fixed.set_defaults(handler=cmd_fixed_points)
-
-    p_cycles = sub.add_parser("cycles", help="enumerate every cycle of period 2 or more")
-    add_common(p_cycles, search=True, steps=True)
-    p_cycles.set_defaults(handler=cmd_cycles)
-
-    p_verify = sub.add_parser("verify-table", help="check enumeration against the shipped table")
-    p_verify.add_argument("--bases", type=_base_list, default=tuple(sorted(EXPECTED_FIXED_POINTS)),
-                          help="comma separated bases to verify (default 2,3,4,5,6)")
-    p_verify.add_argument("--margin", type=_nonnegative_int, default=0,
-                          help="extra search length on top of each base's bound")
-    p_verify.add_argument("--budget", type=_positive_int, default=None,
-                          help=f"candidate budget (default {DEFAULT_BUDGET}, env {BUDGET_ENV})")
-    p_verify.add_argument("--format", choices=FORMATS, default=None)
-    p_verify.add_argument("--output", default=None)
-    p_verify.set_defaults(handler=cmd_verify_table)
-
-    p_bound = sub.add_parser("bound", help="print the eventual length bound and word count")
-    add_common(p_bound)
-    p_bound.set_defaults(handler=cmd_bound)
-
+    for name, (handler, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options.split():
+            flags, kwargs = OPTIONS[option]
+            p.add_argument(*flags, dest=option, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except ValueError as exc:
+        if args.budget is None:
+            args.budget = _env_budget()
+        return _emit(args.handler(args), args)
+    except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OrbitLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORBIT_LIMIT
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return next(code for error, code in ERROR_EXITS.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -149,9 +149,6 @@ class Description:
                 raise ValueError("block letters must be strictly descending")
             prev = letter
 
-    def rendered_length(self) -> int:
-        return sum(digit_length(count, self.base) + 1 for count, _ in self.blocks)
-
 
 def describe(word: Word, base: int) -> Description:
     """The descending-letter block list of ``word``: how many of each letter.

@@ -8,12 +8,22 @@ vectors) rather than words: the step map reads a word only through its tally,
 so every cycle of words is a cycle of the induced map on tallies. Orbits are
 seeded from the tallies of image words only, because a cycle element is
 always the image of its predecessor in the cycle, and words are rendered only
-for the cycles found. A plain word-by-word classifier doubles as the
-completeness oracle for small bases; it applies no pruning at all.
+for the cycles found.
+
+Both searches draw block counts from one generator, ``_count_multisets``,
+which yields each multiset of r counts once as a nondecreasing tuple, in the
+manner of the combination generators of TAOCP 4A 7.2.1.3. The fixed point
+search keeps the multisets that pass the count identity and pairs each with
+every set of r letters; the cycle search tallies their numerals into seeds.
+Every walk to a terminal cycle goes through one memoized walker,
+``_resolve_terminal``: over tallies in the cycle search, over words in a
+plain word-by-word classifier that doubles as the completeness oracle for
+small bases and applies no pruning at all.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -24,6 +34,7 @@ from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 DEFAULT_BUDGET = 10**8
 
 Tally = tuple[int, ...]  # letter counts indexed by letter, length base
+State = tuple[int, ...]  # a word or a tally, whichever _resolve_terminal walks
 
 
 class BudgetExceeded(RuntimeError):
@@ -131,39 +142,6 @@ def cycle_inequality_holds(record: CycleRecord) -> bool:
     return total_n >= total_pow - 2 * total_blocks
 
 
-def _self_consistent_count_tuples(r: int, base: int, limit: int, max_tuples: int) -> list[tuple[int, ...]]:
-    """Count tuples (c_1..c_r) with sum(c) == sum(digit_length(c) + 1) <= limit.
-
-    weight(c) = c - digit_length(c) - 1 is nondecreasing in c and never below
-    -1, so once a prefix weight exceeds the number of slots left it can never
-    balance back to zero and larger counts only make it worse. Raises
-    BudgetExceeded after max_tuples solutions.
-    """
-    out: list[tuple[int, ...]] = []
-    prefix = [0] * r
-
-    def extend(pos: int, csum: int, diff: int) -> None:
-        slots = r - pos
-        if slots == 0:
-            if diff == 0:
-                if len(out) >= max_tuples:
-                    raise BudgetExceeded(
-                        f"fixed point search in base {base} exceeds the candidate budget"
-                    )
-                out.append(tuple(prefix))
-            return
-        cap = limit - csum - (slots - 1)
-        for c in range(1, cap + 1):
-            w = c - digit_length(c, base) - 1
-            if diff + w > slots - 1:
-                break
-            prefix[pos] = c
-            extend(pos + 1, csum + c, diff + w)
-
-    extend(0, 0, 0)
-    return out
-
-
 def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget: int | None = None) -> set[Word]:
     """Every nonempty word that describes itself, as a set of words.
 
@@ -172,8 +150,9 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
     description counts sum to its own length. Candidates come from
     description space and are checked by tally, so the search touches
     thousands of candidates, not base**length words, and renders only the
-    fixed points. The budget caps generated candidates and guards against
-    large-base blowup.
+    fixed points. A candidate is a multiset of r block counts that passes the
+    count identity, paired with a set of r letters; the budget caps the
+    candidates generated and guards against large-base blowup.
     """
     check_base(base)
     limit = length_bound(base).length_bound if length_limit is None else length_limit
@@ -183,19 +162,24 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
     found: set[Word] = set()
     for r in range(1, min(base, limit // 2) + 1):
         letter_sets = comb(base, r)
-        tuples_r = _self_consistent_count_tuples(r, base, limit, remaining // letter_sets)
-        if not tuples_r:
-            continue
-        remaining -= len(tuples_r) * letter_sets
-        for counts in tuples_r:
+        for counts in _count_multisets(r, limit):
+            # a fixed point renders its own description, so its length is
+            # both sum(counts) and the length of the numerals plus one letter each
+            if sum(counts) != sum(digit_length(c, base) + 1 for c in counts):
+                continue
+            remaining -= letter_sets
+            if remaining < 0:
+                raise BudgetExceeded(f"fixed point search in base {base} exceeds the candidate budget")
             # the rendered word holds each block letter once plus the digits
-            # of the count numerals, so the digits are tallied once per tuple
+            # of the count numerals, so the digits are tallied once per multiset
             digits = _digit_tally(counts, base)
             for letters in combinations(range(base - 1, -1, -1), r):
-                # the count identity pins len(word) == sum(counts), so matching
-                # every block count leaves no room for stray letters
-                if all(digits[b] + 1 == c for c, b in zip(counts, letters)):
-                    found.add(render(Description(tuple(map(Block, counts, letters)), base)))
+                # the tally forces each letter's count; the identity pins
+                # len(word) == sum(counts), so matching the multiset leaves no
+                # room for stray letters
+                own = [digits[b] + 1 for b in letters]
+                if sorted(own) == list(counts):
+                    found.add(render(Description(tuple(map(Block, own, letters)), base)))
     return found
 
 
@@ -228,56 +212,60 @@ def _render_tally(tally: Tally, base: int) -> Word:
     return render(Description(blocks, base))
 
 
-def _count_multisets(r: int, limit: int):
-    """Yield every nondecreasing r-tuple of positive integers with sum <= limit."""
-    prefix = [0] * r
+def _count_multisets(
+    r: int, limit: int, low: int = 1, prefix: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    """Yield every nondecreasing r-tuple of integers >= low with sum <= limit.
 
-    def extend(pos: int, low: int, left: int):
-        slots = r - pos
-        if slots == 0:
-            yield tuple(prefix)
-            return
-        for c in range(low, left // slots + 1):
-            prefix[pos] = c
-            yield from extend(pos + 1, c, left - c)
-
-    yield from extend(0, 1, limit)
+    Each multiset of block counts appears once, as its sorted tuple, in
+    lexicographic order: the next count runs over low..limit // r and the
+    rest recurse on what is left, never below the count before them. The
+    recursion carries the counts chosen so far in ``prefix``.
+    """
+    if r == 0:
+        yield prefix
+        return
+    for c in range(low, limit // r + 1):
+        yield from _count_multisets(r - 1, limit - c, c, prefix + (c,))
 
 
 def _resolve_terminal(
-    word: Word,
+    start: State,
+    image: Callable[[State, int], State],
     base: int,
-    memo: dict[Word, int],
-    registry: list[CycleRecord],
+    memo: dict[State, int],
+    registry: list[tuple[State, ...]],
     max_steps: int,
 ) -> int:
-    """Cycle id of the orbit terminal from ``word``, caching every word seen.
+    """Cycle id of the orbit terminal from ``start`` under ``image``, caching every state seen.
 
-    New cycles are appended to ``registry``; a cycle already in the registry
-    is always hit through ``memo`` first, so no duplicates arise.
+    States are words under ``_step`` or tallies under ``_tally_image``. A new
+    cycle is appended to ``registry`` as its states in orbit order; a cycle
+    already in the registry is always hit through ``memo`` first, so no
+    duplicates arise.
     """
-    cid = memo.get(word)
+    cid = memo.get(start)
     if cid is not None:
         return cid
-    path = [word]
-    first = {word: 0}
-    current = word
+    path = [start]
+    first = {start: 0}
+    current = start
     while True:
-        current = _step(current, base)
+        current = image(current, base)
         cid = memo.get(current)
         if cid is not None:
             break
         j = first.get(current)
         if j is not None:
-            registry.append(canonical_cycle(tuple(path[j:]), base))
+            registry.append(tuple(path[j:]))
             cid = len(registry) - 1
             break
         if len(path) >= max_steps:
             raise OrbitLimitExceeded(f"no repeat within {max_steps} steps during search")
         first[current] = len(path)
         path.append(current)
-    for w in path:
-        memo[w] = cid
+    for state in path:
+        memo[state] = cid
     return cid
 
 
@@ -329,27 +317,7 @@ def enumerate_cycles(
     memo: dict[Tally, int] = {}
     registry: list[tuple[Tally, ...]] = []
     for seed in seeds:
-        if seed in memo:
-            continue
-        path = [seed]
-        first = {seed: 0}
-        current = seed
-        while True:
-            current = _tally_image(current, base)
-            cid = memo.get(current)
-            if cid is not None:
-                break
-            j = first.get(current)
-            if j is not None:
-                registry.append(tuple(path[j:]))
-                cid = len(registry) - 1
-                break
-            if len(path) >= max_steps:
-                raise OrbitLimitExceeded(f"no repeat within {max_steps} steps during search")
-            first[current] = len(path)
-            path.append(current)
-        for t in path:
-            memo[t] = cid
+        _resolve_terminal(seed, _tally_image, base, memo, registry, max_steps)
     # the word after tally t is its render, so a tally cycle spells a word cycle
     return {
         canonical_cycle(tuple(_render_tally(t, base) for t in tallies), base)
@@ -401,7 +369,7 @@ def brute_force_classify(
         raise BudgetExceeded(f"{total} words of length <= {max_len}, budget is {allowed}")
     fixed: list[Word] = []
     memo: dict[Word, int] = {}
-    registry: list[CycleRecord] = []
+    registry: list[tuple[Word, ...]] = []
     resolve = _resolve_terminal
     step_ = _step
     for n in range(1, max_len + 1):
@@ -410,8 +378,10 @@ def brute_force_classify(
             if image == word:
                 fixed.append(word)
             if image not in memo:
-                resolve(image, base, memo, registry, max_steps)
-    cycles = sorted((rec for rec in registry if rec.period >= 2), key=cycle_sort_key)
+                resolve(image, step_, base, memo, registry, max_steps)
+    cycles = sorted(
+        (canonical_cycle(words, base) for words in registry if len(words) >= 2), key=cycle_sort_key
+    )
     return ClassificationReport(
         base=base,
         fixed_points=tuple(sorted(fixed, key=word_sort_key)),
@@ -432,11 +402,11 @@ def verify_base2_convergence(max_len: int, *, max_steps: int = DEFAULT_MAX_STEPS
     sink = (1, 0, 0, 1, 1, 1, 0)
     exception = (1, 1, 1)
     memo: dict[Word, int] = {}
-    registry: list[CycleRecord] = []
+    registry: list[tuple[Word, ...]] = []
     for n in range(1, max_len + 1):
         for word in product((0, 1), repeat=n):
-            cid = _resolve_terminal(word, 2, memo, registry, max_steps)
+            cid = _resolve_terminal(word, _step, 2, memo, registry, max_steps)
             target = exception if word == exception else sink
-            if registry[cid].words != (target,):
+            if registry[cid] != (target,):
                 return False
     return True

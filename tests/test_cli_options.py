@@ -1,0 +1,63 @@
+"""CLI options that tests/test_cli.py does not exercise, checked against the library."""
+
+import json
+
+from peadyn import cycle_sort_key, enumerate_cycles, enumerate_fixed_points, format_word, word_sort_key
+from peadyn.cli import EXIT_ORBIT_LIMIT, main
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_fixed_points_length_limit_plus_margin(capsys):
+    code, out, _ = run(capsys, "fixed-points", "-k", "4", "--length-limit", "6", "--margin", "2",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    expected = [format_word(w) for w in sorted(enumerate_fixed_points(4, 8), key=word_sort_key)]
+    assert len(expected) == 6
+    assert payload == {"base": 4, "bound": 8, "fixed_points": expected}
+
+
+def test_cycles_length_limit(capsys):
+    code, out, _ = run(capsys, "cycles", "-k", "7", "--length-limit", "6", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["length_limit"] == 6
+    expected = [
+        {"period": rec.period, "words": [format_word(w) for w in rec.words]}
+        for rec in sorted(enumerate_cycles(7, 6), key=cycle_sort_key)
+    ]
+    assert len(expected) == 4
+    assert payload["cycles"] == expected
+
+
+def test_cycles_max_steps_exit_code(capsys):
+    code, out, err = run(capsys, "cycles", "-k", "3", "--max-steps", "1")
+    assert code == EXIT_ORBIT_LIMIT == 3
+    assert out == ""
+    assert "1 steps" in err
+
+
+def test_output_file_json(capsys, tmp_path):
+    target = tmp_path / "orbit.json"
+    code, out, _ = run(capsys, "orbit", "-k", "2", "-w", "10", "--format", "json", "--output", str(target))
+    assert code == 0
+    assert out == ""
+    assert json.loads(target.read_text()) == {
+        "start": "10",
+        "transient": 8,
+        "period": 1,
+        "cycle": ["1001110"],
+    }
+
+
+def test_output_file_not_written_on_error(capsys, tmp_path):
+    target = tmp_path / "orbit.json"
+    code, out, _ = run(capsys, "orbit", "-k", "2", "-w", "10", "--max-steps", "3", "--output", str(target))
+    assert code == 3
+    assert out == ""
+    assert not target.exists()

@@ -1,4 +1,5 @@
-from itertools import combinations
+import gc
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from peadyn import (
     word_sort_key,
 )
 from peadyn.golden import EXPECTED_FIXED_POINTS
-from peadyn.search import _tally_image
+from peadyn.search import _count_multisets, _tally_image
 from expected_cycles import EXPECTED_CYCLES
 
 # The shipped expected table lists 18 words for base 6, but the search finds
@@ -314,3 +315,33 @@ def test_base2_words_converge():
     assert verify_base2_convergence(12)
     with pytest.raises(ValueError):
         verify_base2_convergence(0)
+
+
+def test_fixed_point_budget_counts_candidates():
+    # a candidate is a count multiset that passes the length identity, paired
+    # with one set of letters: 9 of them in base 2 and 247 in base 6
+    assert enumerate_fixed_points(2, budget=9) == expected_words(2)
+    with pytest.raises(BudgetExceeded):
+        enumerate_fixed_points(2, budget=8)
+    assert len(enumerate_fixed_points(6, budget=247)) == 19
+    with pytest.raises(BudgetExceeded):
+        enumerate_fixed_points(6, budget=246)
+
+
+@pytest.mark.parametrize("r, limit", [(0, 3), (1, 5), (2, 9), (3, 12), (4, 4), (5, 4), (3, 0), (6, 17)])
+def test_count_multisets_yields_each_multiset_once(r, limit):
+    expected = [c for c in combinations_with_replacement(range(1, limit + 1), r) if sum(c) <= limit]
+    assert list(_count_multisets(r, limit)) == expected
+
+
+def test_searches_leave_no_reference_cycles():
+    # everything a search allocates is freed by reference counting alone, so
+    # nothing waits for the cyclic collector once the search returns
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_fixed_points(9)
+        enumerate_cycles(7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
