@@ -11,7 +11,6 @@ import random
 import statistics
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -19,38 +18,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from peadyn import canonical_cycle, format_word, length_bound, orbit
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    seed: int = 20260818
-    samples: int = 2000
-    max_length: int = 300
-    bases: tuple[int, ...] = (2, 3, 4, 5, 6)
-    max_steps: int = 10000
+def _bases(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(","))
 
 
-def parse_args() -> ExperimentConfig:
-    defaults = ExperimentConfig()
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--samples", type=int, default=defaults.samples,
-                        help="orbits per base (default %(default)s)")
-    parser.add_argument("--max-length", type=int, default=defaults.max_length,
-                        help="start words are 1..this long (default %(default)s)")
-    parser.add_argument("--bases", default=",".join(map(str, defaults.bases)),
-                        help="comma separated bases (default %(default)s)")
-    parser.add_argument("--max-steps", type=int, default=defaults.max_steps)
-    args = parser.parse_args()
-    return replace(
-        defaults,
-        seed=args.seed,
-        samples=args.samples,
-        max_length=args.max_length,
-        bases=tuple(int(part) for part in args.bases.split(",")),
-        max_steps=args.max_steps,
-    )
-
-
-def run_base(cfg: ExperimentConfig, base: int, rng: random.Random) -> None:
+def run_base(cfg: argparse.Namespace, base: int, rng: random.Random) -> None:
     transients = []
     periods = Counter()
     terminals = Counter()
@@ -76,7 +48,16 @@ def run_base(cfg: ExperimentConfig, base: int, rng: random.Random) -> None:
 
 
 def main() -> int:
-    cfg = parse_args()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=20260818)
+    parser.add_argument("--samples", type=int, default=2000,
+                        help="orbits per base (default %(default)s)")
+    parser.add_argument("--max-length", type=int, default=300,
+                        help="start words are 1..this long (default %(default)s)")
+    parser.add_argument("--bases", type=_bases, default="2,3,4,5,6",
+                        help="comma separated bases (default %(default)s)")
+    parser.add_argument("--max-steps", type=int, default=10000)
+    cfg = parser.parse_args()
     rng = random.Random(cfg.seed)
     print(f"seed {cfg.seed}, {cfg.samples} samples per base, lengths 1..{cfg.max_length}")
     for base in cfg.bases:

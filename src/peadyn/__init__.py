@@ -12,11 +12,8 @@ from .core import (
     Block,
     Description,
     Word,
-    count_letters,
-    decode_numeral,
     describe,
     digit_length,
-    encode_numeral,
     format_word,
     parse_word,
     render,
@@ -27,7 +24,6 @@ from .dynamics import (
     BoundInfo,
     OrbitLimitExceeded,
     OrbitResult,
-    eventual_length_ok,
     length_bound,
     orbit,
 )
@@ -67,16 +63,12 @@ __all__ = [
     "brute_force_classify",
     "canonical_cycle",
     "classify",
-    "count_letters",
     "cycle_inequality_holds",
     "cycle_sort_key",
-    "decode_numeral",
     "describe",
     "digit_length",
-    "encode_numeral",
     "enumerate_cycles",
     "enumerate_fixed_points",
-    "eventual_length_ok",
     "fixed_point_inequality_holds",
     "format_word",
     "length_bound",

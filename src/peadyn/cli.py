@@ -223,8 +223,6 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peadyn", description="Counting dynamics on base-k words: iterate, classify, verify.")
-    # commands without --budget still read the budget from the environment
-    parser.set_defaults(budget=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
@@ -238,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.budget is None:
+        if "budget" in args and args.budget is None:
             args.budget = _env_budget()
         return _emit(args.handler(args), args)
     except tuple(ERROR_EXITS) as exc:

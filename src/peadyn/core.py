@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 MIN_BASE = 2
 MAX_BASE = 36  # limit of the 0-9a-z text rendering
@@ -55,16 +55,6 @@ def format_word(word: Word) -> str:
     return "".join(_DIGITS[letter] for letter in word)
 
 
-def count_letters(word: Word, base: int) -> dict[int, int]:
-    """Tally every alphabet letter in ``word``; absent letters map to 0."""
-    check_base(base)
-    check_word(word, base)
-    counts = dict.fromkeys(range(base), 0)
-    for letter in word:
-        counts[letter] += 1
-    return counts
-
-
 def digit_length(n: int, base: int) -> int:
     """Number of base-k digits of a positive integer."""
     if n < 1:
@@ -84,33 +74,6 @@ def _numeral_digits(n: int, base: int) -> tuple[int, ...]:
         digits.append(r)
     digits.reverse()
     return tuple(digits)
-
-
-def encode_numeral(n: int, base: int) -> tuple[int, ...]:
-    """Base-k digits of ``n``, most significant first, no leading zeros.
-
-    Only positive integers are numerals here: counts of zero never occur in
-    a description, so zero has no encoding.
-    """
-    check_base(base)
-    if n < 1:
-        raise ValueError(f"numerals encode positive counts, got {n}")
-    return _numeral_digits(n, base)
-
-
-def decode_numeral(digits: Sequence[int], base: int) -> int:
-    """Inverse of encode_numeral; rejects empty and leading-zero digit strings."""
-    check_base(base)
-    if not digits:
-        raise ValueError("empty numeral")
-    if digits[0] == 0:
-        raise ValueError("leading zero in numeral")
-    value = 0
-    for i, d in enumerate(digits):
-        if not 0 <= d < base:
-            raise ValueError(f"invalid digit {d!r} at position {i} for base {base}")
-        value = value * base + d
-    return value
 
 
 class Block(NamedTuple):

@@ -80,9 +80,3 @@ def orbit(start: Word, base: int, max_steps: int = DEFAULT_MAX_STEPS) -> OrbitRe
         trail.append(current)
     raise OrbitLimitExceeded(f"no repeat within {max_steps} steps from the given start")
 
-
-def eventual_length_ok(start: Word, base: int, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
-    """True when every word in the detected cycle fits the eventual length cap."""
-    result = orbit(start, base, max_steps)
-    cap = length_bound(base).length_bound
-    return all(len(word) <= cap for word in result.cycle)

@@ -111,14 +111,7 @@ def fixed_point_inequality_holds(description: Description) -> bool:
     since every count is at least k^n_j yet all counts together only measure
     the word's own length, which is sum(n_j) + 2r.
     """
-    k = description.base
-    total_n = 0
-    total_pow = 0
-    for count, _ in description.blocks:
-        n = digit_length(count, k) - 1
-        total_n += n
-        total_pow += k**n
-    return total_n >= total_pow - 2 * len(description.blocks)
+    return _slack(description) >= 0
 
 
 def cycle_inequality_holds(record: CycleRecord) -> bool:
@@ -128,18 +121,17 @@ def cycle_inequality_holds(record: CycleRecord) -> bool:
     word's own block count: sum over words of (n sums) >= sum of k^n minus
     2 * (total blocks across the cycle).
     """
-    k = record.base
-    total_n = 0
-    total_pow = 0
-    total_blocks = 0
-    for word in record.words:
-        d = describe(word, k)
-        total_blocks += len(d.blocks)
-        for count, _ in d.blocks:
-            n = digit_length(count, k) - 1
-            total_n += n
-            total_pow += k**n
-    return total_n >= total_pow - 2 * total_blocks
+    return sum(_slack(describe(word, record.base)) for word in record.words) >= 0
+
+
+def _slack(description: Description) -> int:
+    """sum(n_j) - sum(k^n_j) + 2r for one description, the margin of the inequality."""
+    k = description.base
+    slack = 2 * len(description.blocks)
+    for count, _ in description.blocks:
+        n = digit_length(count, k) - 1
+        slack += n - k**n
+    return slack
 
 
 def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget: int | None = None) -> set[Word]:

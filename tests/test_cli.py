@@ -275,6 +275,15 @@ def test_budget_env_invalid(capsys, monkeypatch):
     assert cli.BUDGET_ENV in err
 
 
+def test_budget_env_ignored_without_search(capsys, monkeypatch):
+    for argv in (("step", "-k", "2", "-w", "10"), ("orbit", "-k", "2", "-w", "10"), ("bound", "-k", "2")):
+        monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+        unset = run(capsys, *argv, "--format", "json")
+        monkeypatch.setenv(cli.BUDGET_ENV, "lots")
+        assert unset[0] == 0
+        assert run(capsys, *argv, "--format", "json") == unset
+
+
 def test_budget_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV, "10")
     code, out, _ = run(capsys, "fixed-points", "-k", "6", "--budget", "100000000", "--format", "json")
@@ -312,18 +321,3 @@ def test_console_script_help():
     for name in ("step", "orbit", "fixed-points", "cycles", "verify-table", "bound"):
         assert name in proc.stdout
 
-
-def test_golden_fixture_file_matches_embedded():
-    from pathlib import Path
-
-    from peadyn.golden import EXPECTED_FIXED_POINTS
-
-    path = Path(__file__).resolve().parent.parent / "data" / "fixed_points.txt"
-    table: dict[int, list[str]] = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        base_text, word = line.split()
-        table.setdefault(int(base_text), []).append(word)
-    assert {k: tuple(v) for k, v in table.items()} == EXPECTED_FIXED_POINTS

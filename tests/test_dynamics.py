@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from peadyn import (
     OrbitLimitExceeded,
-    eventual_length_ok,
     format_word,
     length_bound,
     orbit,
@@ -140,14 +139,6 @@ def test_length_bound_rejects_bad_base():
         length_bound(1)
     with pytest.raises(ValueError):
         length_bound(37)
-
-
-def test_eventual_length_ok():
-    assert eventual_length_ok(parse_word("111", 2), 2)
-    assert eventual_length_ok(tuple([1] * 40), 2)
-    assert eventual_length_ok(parse_word("123", 10), 10)
-    with pytest.raises(OrbitLimitExceeded):
-        eventual_length_ok(tuple([1] * 40), 2, max_steps=1)
 
 
 @settings(max_examples=100, deadline=None)
