@@ -15,11 +15,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from peadyn import canonical_cycle, format_word, length_bound, orbit
+from peadyn import MAX_BASE, MIN_BASE, canonical_cycle, format_word, length_bound, orbit
 
 
 def _bases(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+    bases = tuple(int(part) for part in text.split(","))
+    for base in bases:
+        if not MIN_BASE <= base <= MAX_BASE:
+            raise argparse.ArgumentTypeError(f"base {base} is outside {MIN_BASE}..{MAX_BASE}")
+    return bases
 
 
 def run_base(cfg: argparse.Namespace, base: int, rng: random.Random) -> None:

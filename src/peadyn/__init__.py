@@ -35,12 +35,12 @@ from .search import (
     brute_force_classify,
     canonical_cycle,
     classify,
+    count_fixed_points,
     cycle_inequality_holds,
     enumerate_cycles,
     cycle_sort_key,
     enumerate_fixed_points,
     fixed_point_inequality_holds,
-    verify_base2_convergence,
     word_sort_key,
 )
 
@@ -63,6 +63,7 @@ __all__ = [
     "brute_force_classify",
     "canonical_cycle",
     "classify",
+    "count_fixed_points",
     "cycle_inequality_holds",
     "cycle_sort_key",
     "describe",
@@ -76,6 +77,5 @@ __all__ = [
     "parse_word",
     "render",
     "step",
-    "verify_base2_convergence",
     "word_sort_key",
 ]

@@ -18,8 +18,8 @@ from typing import NamedTuple
 from .core import Word, format_word, parse_word, step
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound, orbit
 from .golden import EXPECTED_FIXED_POINTS
-from .search import (DEFAULT_BUDGET, BudgetExceeded, cycle_sort_key, enumerate_cycles,
-                     enumerate_fixed_points, word_sort_key)
+from .search import (DEFAULT_BUDGET, BudgetExceeded, count_fixed_points, cycle_sort_key,
+                     enumerate_cycles, enumerate_fixed_points, word_sort_key)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -116,6 +116,11 @@ def cmd_orbit(args: argparse.Namespace) -> Result:
 
 def cmd_fixed_points(args: argparse.Namespace) -> Result:
     limit = (args.length_limit or length_bound(args.base).length_bound) + args.margin
+    if args.count:
+        count = count_fixed_points(args.base, limit)
+        payload = {"base": args.base, "bound": limit, "count": count}
+        line = f"base {args.base}: {count} fixed points of length <= {limit}"
+        return Result(payload, tuple(payload), [tuple(payload.values())], [line])
     words = sorted(enumerate_fixed_points(args.base, limit, budget=args.budget), key=word_sort_key)
     texts = [format_word(w) for w in words]
     payload = {"base": args.base, "bound": limit, "fixed_points": texts}
@@ -198,7 +203,10 @@ OPTIONS = {
     "length_limit": (("--length-limit",), dict(type=_positive_int, help="length cap (default: the bound)")),
     "margin": (("--margin",), dict(type=_nonnegative_int, default=0, help="extra length over the cap")),
     "budget": (("--budget",), dict(type=_positive_int,
-                                   help=f"candidate budget (default {DEFAULT_BUDGET}, env {BUDGET_ENV})")),
+                                   help=f"most fixed point words to list, or cycle seeds to walk "
+                                        f"(default {DEFAULT_BUDGET}, env {BUDGET_ENV})")),
+    "count": (("--count",), dict(action="store_true",
+                                 help="print how many fixed points there are, not the list; no budget")),
     "bases": (("--bases",), dict(type=_base_list, default=tuple(sorted(EXPECTED_FIXED_POINTS)),
                                  help="comma separated bases to verify (default 2,3,4,5,6)")),
     "format": (("--format",), dict(choices=FORMATS, help="output format (table on a tty, else json)")),
@@ -211,7 +219,7 @@ COMMANDS = {
     "orbit": (cmd_orbit, "iterate to the first repeat and report the cycle",
               "base word max_steps format output"),
     "fixed-points": (cmd_fixed_points, "enumerate every self-describing word",
-                     "base length_limit margin budget format output"),
+                     "base length_limit margin budget count format output"),
     "cycles": (cmd_cycles, "enumerate every cycle of period 2 or more",
                "base max_steps length_limit margin budget format output"),
     "verify-table": (cmd_verify_table, "check enumeration against the shipped table",

@@ -1,21 +1,57 @@
 """Exhaustive fixed point and cycle enumeration.
 
-Fixed points are searched in description space rather than word space: a fixed
-point renders its own description, which forces the count identity
-sum(c_j) == sum(digit_length(c_j) + 1) and keeps every count within a few
-units of the block count. Cycle search works on tallies (letter-count
-vectors) rather than words: the step map reads a word only through its tally,
-so every cycle of words is a cycle of the induced map on tallies. Orbits are
-seeded from the tallies of image words only, because a cycle element is
-always the image of its predecessor in the cycle, and words are rendered only
-for the cycles found.
+Fixed points are counted and listed as families. Under the default length
+limit, about 2k + 2, every count numeral has one or two digits. Split the
+letters of a fixed point w by their count:
 
-Both searches draw block counts from one generator, ``_count_multisets``,
-which yields each multiset of r counts once as a nondecreasing tuple, in the
-manner of the combination generators of TAOCP 4A 7.2.1.3. The fixed point
-search keeps the multisets that pass the count identity and pairs each with
-every set of r letters; the cycle search tallies their numerals into seeds.
-Every walk to a terminal cycle goes through one memoized walker,
+- the core is the multiset of counts >= 2;
+- m1 is the number of letters of count 1.
+
+w renders its own description, so its length is both the sum of its counts c
+and the sum of len(c) + 1 over its blocks, where len(c) is the number of
+digits of c. A count-1 block adds 1 - 1 - 1 = -1 to sum(c - len(c) - 1), so
+the count identity forces
+
+    m1 = sum(c - len(c) - 1) over the core.
+
+The numerals of w are the core's numerals plus m1 copies of "1", so their
+digit tally is known from the core alone. A letter of count >= 2 occurs once
+as a block letter and the rest of the times as a digit, so the letters of
+count >= 2 are exactly the forced letters F, the support of that tally, each
+with count tally + 1. A core is accepted when these forced counts, sorted,
+are the core itself, m1 >= 0 and |F| + m1 <= k. The count-1 letters are any
+m1 letters outside F: none of them occurs as a digit, so they are
+interchangeable, and the core yields exactly C(k - |F|, m1) fixed points, one
+per choice. Conversely every such choice spells a fixed point, because its
+image has the same tally. Counting needs the families only; listing expands
+them after the budget check, so a search that is over budget fails before it
+renders a word.
+
+The cores are walked as nondecreasing tuples, with three cuts:
+
+- Each count c adds 2c - len(c) - 1 >= 1 to the word length sum(core) + m1,
+  so the walk stops at the length limit.
+- Outside base 2, where count 2 is spelled "10" and lowers m1 by 1, every
+  count adds c - len(c) - 1 >= 0 to m1. So once the core size plus m1 passes
+  k, no longer core comes back under it. This bound alone keeps the
+  enumeration finite, even with no length limit: c - len(c) - 1 <= k caps
+  every count at about k + 3, and at most k letters have a count >= 2.
+- |F| must equal the core size, yet F holds only the digits of the core's
+  numerals plus perhaps the letter 1. A further count of n digits adds 1 to
+  the core size and at most n digits, so it closes that gap by at most
+  n - 1, and it lengthens the word by at least (n - 1)(2k - 3). A core whose
+  gap the remaining length cannot close is cut with every core that extends
+  it.
+
+Cycle search works on tallies (letter-count vectors) rather than words: the
+step map reads a word only through its tally, so every cycle of words is a
+cycle of the induced map on tallies. Orbits are seeded from the tallies of
+image words only, because a cycle element is always the image of its
+predecessor in the cycle, and words are rendered only for the cycles found.
+Its block counts come from ``_count_multisets``, which yields each multiset of
+r counts once as a nondecreasing tuple, in the manner of the combination
+generators of TAOCP 4A 7.2.1.3; the numerals of each multiset are tallied
+into seeds. Every walk to a terminal cycle goes through one memoized walker,
 ``_resolve_terminal``: over tallies in the cycle search, over words in a
 plain word-by-word classifier that doubles as the completeness oracle for
 small bases and applies no pruning at all.
@@ -27,8 +63,9 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
+from typing import NamedTuple
 
-from .core import Block, Description, Word, _numeral_digits, _step, check_base, describe, digit_length, render
+from .core import Description, Word, _numeral_digits, _step, check_base, describe, digit_length
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 
 DEFAULT_BUDGET = 10**8
@@ -38,7 +75,12 @@ State = tuple[int, ...]  # a word or a tally, whichever _resolve_terminal walks
 
 
 class BudgetExceeded(RuntimeError):
-    """The requested search is larger than the configured candidate budget."""
+    """The requested search is larger than its budget.
+
+    The fixed point search counts the words it would list; the cycle search
+    counts its image seeds; the word-by-word classifier counts the words it
+    would visit.
+    """
 
 
 @dataclass(frozen=True)
@@ -134,45 +176,106 @@ def _slack(description: Description) -> int:
     return slack
 
 
-def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget: int | None = None) -> set[Word]:
-    """Every nonempty word that describes itself, as a set of words.
+class _Family(NamedTuple):
+    """The fixed points that share one core.
 
-    Complete for the default length limit (the eventual orbit length cap):
-    any fixed point recurs forever, so its length fits under the cap and its
-    description counts sum to its own length. Candidates come from
-    description space and are checked by tally, so the search touches
-    thousands of candidates, not base**length words, and renders only the
-    fixed points. A candidate is a multiset of r block counts that passes the
-    count identity, paired with a set of r letters; the budget caps the
-    candidates generated and guards against large-base blowup.
+    ``own`` holds the count of every forced letter and 0 elsewhere; each
+    member adds ``ones`` of the other letters with count 1.
     """
+
+    own: Tally
+    ones: int
+
+    @property
+    def size(self) -> int:
+        return comb(self.own.count(0), self.ones)
+
+    def words(self) -> Iterator[Word]:
+        base = len(self.own)
+        tally = list(self.own)
+        for chosen in combinations([b for b in range(base) if not tally[b]], self.ones):
+            for b in chosen:
+                tally[b] = 1
+            yield _render_tally(tally, base)
+            for b in chosen:
+                tally[b] = 0
+
+
+def _fixed_point_cores(
+    base: int,
+    limit: int,
+    low: int = 2,
+    core: tuple[int, ...] = (),
+    length: int = 0,
+    ones: int = 0,
+    digits: frozenset[int] = frozenset(),
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (core, m1) for every core that extends ``core`` by counts >= low.
+
+    ``length`` is the sum of ``core``, ``ones`` its m1 so far and ``digits``
+    the letters its numerals use. The cores come as nondecreasing tuples, and
+    only those that the three cuts of the module docstring leave standing.
+    """
+    for c in range(low, limit + 1):
+        numeral = _numeral_digits(c, base)
+        extra = c - len(numeral) - 1  # what c adds to m1
+        total = length + c + ones + extra  # the word length if the core ended at c
+        if total > limit:
+            return
+        grown = core + (c,)
+        if extra >= 0 and len(grown) + ones + extra > base:
+            return
+        used = digits.union(numeral)
+        if len(grown) - len(used) - 1 > (limit - total) // (2 * base - 3):
+            continue
+        yield grown, ones + extra
+        yield from _fixed_point_cores(base, limit, c, grown, length + c, ones + extra, used)
+
+
+def _fixed_point_families(base: int, length_limit: int | None) -> list[_Family]:
+    """Every family of fixed points of length <= the limit, default the eventual cap."""
     check_base(base)
     limit = length_bound(base).length_bound if length_limit is None else length_limit
     if limit < 1:
         raise ValueError(f"length limit must be positive, got {limit}")
-    remaining = DEFAULT_BUDGET if budget is None else budget
-    found: set[Word] = set()
-    for r in range(1, min(base, limit // 2) + 1):
-        letter_sets = comb(base, r)
-        for counts in _count_multisets(r, limit):
-            # a fixed point renders its own description, so its length is
-            # both sum(counts) and the length of the numerals plus one letter each
-            if sum(counts) != sum(digit_length(c, base) + 1 for c in counts):
-                continue
-            remaining -= letter_sets
-            if remaining < 0:
-                raise BudgetExceeded(f"fixed point search in base {base} exceeds the candidate budget")
-            # the rendered word holds each block letter once plus the digits
-            # of the count numerals, so the digits are tallied once per multiset
-            digits = _digit_tally(counts, base)
-            for letters in combinations(range(base - 1, -1, -1), r):
-                # the tally forces each letter's count; the identity pins
-                # len(word) == sum(counts), so matching the multiset leaves no
-                # room for stray letters
-                own = [digits[b] + 1 for b in letters]
-                if sorted(own) == list(counts):
-                    found.add(render(Description(tuple(map(Block, own, letters)), base)))
-    return found
+    families = []
+    for core, ones in _fixed_point_cores(base, limit):
+        # the walk already keeps len(core) + m1 <= k wherever m1 >= 0
+        if ones < 0:
+            continue
+        tally = _digit_tally(core, base)
+        tally[1] += ones
+        own = tuple(t + 1 if t else 0 for t in tally)
+        if sorted(c for c in own if c) == list(core):
+            families.append(_Family(own, ones))
+    return families
+
+
+def count_fixed_points(base: int, length_limit: int | None = None) -> int:
+    """How many nonempty words of length <= the limit describe themselves.
+
+    Sums the family sizes without listing a word, so it takes no budget and
+    reaches base 36, whose 4,294,967,926 fixed points no list could hold.
+    """
+    return sum(family.size for family in _fixed_point_families(base, length_limit))
+
+
+def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget: int | None = None) -> set[Word]:
+    """Every nonempty word that describes itself, as a set of words.
+
+    Complete for the default length limit (the eventual orbit length cap):
+    any fixed point recurs forever, so its length fits under the cap. The
+    words come from families of fixed points that share their counts of 2 or
+    more (see the module docstring). The budget caps the number of words
+    listed: the family sizes are summed first, and the search raises
+    ``BudgetExceeded`` before it renders any word if they exceed it.
+    """
+    families = _fixed_point_families(base, length_limit)
+    allowed = DEFAULT_BUDGET if budget is None else budget
+    needed = sum(family.size for family in families)
+    if needed > allowed:
+        raise BudgetExceeded(f"fixed point search in base {base} needs {needed} words, budget is {allowed}")
+    return {word for family in families for word in family.words()}
 
 
 def _digit_tally(counts: tuple[int, ...], base: int) -> list[int]:
@@ -200,8 +303,12 @@ def _tally_image(tally: Tally, base: int) -> Tally:
 
 def _render_tally(tally: Tally, base: int) -> Word:
     """step(w) for every word w whose tally is ``tally``."""
-    blocks = tuple(Block(tally[b], b) for b in range(base - 1, -1, -1) if tally[b])
-    return render(Description(blocks, base))
+    out: list[int] = []
+    for b in range(base - 1, -1, -1):
+        if tally[b]:
+            out.extend(_numeral_digits(tally[b], base))
+            out.append(b)
+    return tuple(out)
 
 
 def _count_multisets(
@@ -381,24 +488,3 @@ def brute_force_classify(
         search_length_limit=max_len,
         method="exhaustive",
     )
-
-
-def verify_base2_convergence(max_len: int, *, max_steps: int = DEFAULT_MAX_STEPS) -> bool:
-    """Check that every nonempty binary word up to max_len falls into 1001110.
-
-    The lone exception is 111, which is a fixed point of its own. Returns
-    False as soon as any word lands anywhere else.
-    """
-    if max_len < 1:
-        raise ValueError(f"max_len must be positive, got {max_len}")
-    sink = (1, 0, 0, 1, 1, 1, 0)
-    exception = (1, 1, 1)
-    memo: dict[Word, int] = {}
-    registry: list[tuple[Word, ...]] = []
-    for n in range(1, max_len + 1):
-        for word in product((0, 1), repeat=n):
-            cid = _resolve_terminal(word, _step, 2, memo, registry, max_steps)
-            target = exception if word == exception else sink
-            if registry[cid] != (target,):
-                return False
-    return True

@@ -1,10 +1,21 @@
-"""Independent string-based reference used to cross-check the fast implementation.
+"""Reference implementations the tests check the package against.
 
-Deliberately different machinery: Counter over characters, string
-concatenation, recursion-free numeral building. Slow and obviously correct.
+``naive_step`` and ``naive_orbit`` use deliberately different machinery:
+Counter over characters, string concatenation, recursion-free numeral
+building. Slow and obviously correct.
+
+``description_space_fixed_points`` is the fixed point search the package used
+before it listed fixed points by family, and ``tally_oracle`` classifies by
+stepping one word per letter tally. ``verify_base2_convergence`` checks the
+paper's base-2 claim word by word.
 """
 
 from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
+
+from peadyn.core import Block, Description, _step, digit_length, render
+from peadyn.dynamics import DEFAULT_MAX_STEPS
+from peadyn.search import _count_multisets, _digit_tally, _resolve_terminal
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -37,3 +48,76 @@ def naive_orbit(word: str, base: int, max_steps: int = 10000):
             return i, len(seen) - i, seen[i:]
         seen.append(word)
     raise AssertionError(f"no repeat within {max_steps} steps")
+
+
+def description_space_fixed_points(base, limit):
+    """Fixed points of length <= limit, from every count multiset and letter set.
+
+    A candidate is a multiset of r block counts that passes the count
+    identity, paired with a set of r letters; the digit tally of the count
+    numerals forces each letter's count, and the candidate is kept when those
+    counts are the multiset.
+    """
+    found = set()
+    for r in range(1, min(base, limit // 2) + 1):
+        for counts in _count_multisets(r, limit):
+            # a fixed point renders its own description, so its length is
+            # both sum(counts) and the length of the numerals plus one letter each
+            if sum(counts) != sum(digit_length(c, base) + 1 for c in counts):
+                continue
+            # the rendered word holds each block letter once plus the digits
+            # of the count numerals, so the digits are tallied once per multiset
+            digits = _digit_tally(counts, base)
+            for letters in combinations(range(base - 1, -1, -1), r):
+                # the tally forces each letter's count; the identity pins
+                # len(word) == sum(counts), so matching the multiset leaves no
+                # room for stray letters
+                own = [digits[b] + 1 for b in letters]
+                if sorted(own) == list(counts):
+                    found.add(render(Description(tuple(map(Block, own, letters)), base)))
+    return found
+
+
+def tally_oracle(base, limit):
+    """(fixed points of length <= limit, cycles reached from words of length <= limit).
+
+    The step map reads a word only through its letter tally, so the sorted
+    word of each tally stands for all of its rearrangements: stepping it
+    gives the image they share. Every image is walked word by word to its
+    terminal cycle. Each cycle of period >= 2 comes as a tuple of words
+    rotated to start at its smallest word. Uses no tally image, no count
+    generator and no count identity.
+    """
+    memo = {}
+    registry = []
+    for n in range(1, limit + 1):
+        for word in combinations_with_replacement(range(base), n):
+            _resolve_terminal(_step(word, base), _step, base, memo, registry, DEFAULT_MAX_STEPS)
+    fixed = {words[0] for words in registry if len(words) == 1 and len(words[0]) <= limit}
+    cycles = set()
+    for words in registry:
+        if len(words) >= 2:
+            pivot = words.index(min(words))
+            cycles.add(words[pivot:] + words[:pivot])
+    return fixed, cycles
+
+
+def verify_base2_convergence(max_len, *, max_steps=DEFAULT_MAX_STEPS):
+    """Check that every nonempty binary word up to max_len falls into 1001110.
+
+    The lone exception is 111, which is a fixed point of its own. Returns
+    False as soon as any word lands anywhere else.
+    """
+    if max_len < 1:
+        raise ValueError(f"max_len must be positive, got {max_len}")
+    sink = (1, 0, 0, 1, 1, 1, 0)
+    exception = (1, 1, 1)
+    memo = {}
+    registry = []
+    for n in range(1, max_len + 1):
+        for word in product((0, 1), repeat=n):
+            cid = _resolve_terminal(word, _step, 2, memo, registry, max_steps)
+            target = exception if word == exception else sink
+            if registry[cid] != (target,):
+                return False
+    return True

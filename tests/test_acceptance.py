@@ -31,10 +31,9 @@ from peadyn import (
     orbit,
     parse_word,
     step,
-    verify_base2_convergence,
 )
 from peadyn.cli import main as cli_main
-from reference import naive_step
+from reference import naive_step, verify_base2_convergence
 
 # True fixed point counts, and the words the supplied reference table lacks.
 FIXED_POINT_COUNTS = {2: 2, 3: 7, 4: 7, 5: 12, 6: 19}

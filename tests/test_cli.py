@@ -118,6 +118,27 @@ def test_fixed_points_base6_csv_has_19_rows(capsys):
     assert "6,15141211110,11" in lines
 
 
+@pytest.mark.parametrize("base", range(2, 13))
+def test_fixed_points_count_equals_list_length(capsys, base):
+    _, out, _ = run(capsys, "fixed-points", "-k", str(base), "--format", "json")
+    listed = json.loads(out)
+    code, out, _ = run(capsys, "fixed-points", "-k", str(base), "--count", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"base": base, "bound": listed["bound"], "count": len(listed["fixed_points"])}
+
+
+def test_fixed_points_base36_counts_but_exceeds_budget(capsys):
+    code, out, err = run(capsys, "fixed-points", "-k", "36")
+    assert code == 4
+    assert out == ""
+    assert "needs 4294967926 words" in err
+    code, out, _ = run(capsys, "fixed-points", "-k", "36", "--count", "--format", "csv")
+    assert code == 0
+    assert out == "base,bound,count\n36,75,4294967926\n"
+    code, out, _ = run(capsys, "fixed-points", "-k", "36", "--count", "--format", "table")
+    assert out == "base 36: 4294967926 fixed points of length <= 75\n"
+
+
 def test_cycles_base2_empty(capsys):
     code, out, _ = run(capsys, "cycles", "-k", "2", "--format", "table")
     assert code == 0

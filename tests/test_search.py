@@ -13,6 +13,7 @@ from peadyn import (
     brute_force_classify,
     canonical_cycle,
     classify,
+    count_fixed_points,
     cycle_inequality_holds,
     cycle_sort_key,
     describe,
@@ -24,12 +25,12 @@ from peadyn import (
     parse_word,
     render,
     step,
-    verify_base2_convergence,
     word_sort_key,
 )
 from peadyn.golden import EXPECTED_FIXED_POINTS
 from peadyn.search import _count_multisets, _tally_image
 from expected_cycles import EXPECTED_CYCLES
+from reference import description_space_fixed_points, tally_oracle, verify_base2_convergence
 
 # The shipped expected table lists 18 words for base 6, but the search finds
 # one more: 15141211110 tallies one 5, one 4, one 2, seven 1s, one 0, and
@@ -318,14 +319,63 @@ def test_base2_words_converge():
 
 
 def test_fixed_point_budget_counts_candidates():
-    # a candidate is a count multiset that passes the length identity, paired
-    # with one set of letters: 9 of them in base 2 and 247 in base 6
-    assert enumerate_fixed_points(2, budget=9) == expected_words(2)
+    # the budget counts the words listed, summed over the families before any
+    # is expanded: 2 words in base 2 and 19 in base 6
+    assert enumerate_fixed_points(2, budget=2) == expected_words(2)
     with pytest.raises(BudgetExceeded):
-        enumerate_fixed_points(2, budget=8)
-    assert len(enumerate_fixed_points(6, budget=247)) == 19
+        enumerate_fixed_points(2, budget=1)
+    assert len(enumerate_fixed_points(6, budget=19)) == 19
     with pytest.raises(BudgetExceeded):
-        enumerate_fixed_points(6, budget=246)
+        enumerate_fixed_points(6, budget=18)
+
+
+LIMIT_GRID = [
+    (3, 4), (6, 5), (6, 20), (7, 6), (8, 30), (5, 1), (5, 2), (10, 12), (4, 8), (2, 3), (9, 10), (2, 2),
+]
+
+
+@pytest.mark.parametrize("base", range(2, 15))
+def test_fixed_points_match_description_space_loop(base):
+    limit = length_bound(base).length_bound
+    assert enumerate_fixed_points(base) == description_space_fixed_points(base, limit)
+
+
+@pytest.mark.parametrize("base, limit", LIMIT_GRID)
+def test_fixed_points_match_description_space_loop_on_limits(base, limit):
+    assert enumerate_fixed_points(base, limit) == description_space_fixed_points(base, limit)
+
+
+@pytest.mark.parametrize("base, count", [(16, 4216), (18, 16537), (20, 65726)])
+def test_fixed_point_counts_match_frozen_search(base, count):
+    # sizes the multiset-and-letter-set search found before the family solver
+    assert len(enumerate_fixed_points(base)) == count
+    assert count_fixed_points(base) == count
+
+
+def check_tally_oracle(base):
+    """Assert that the tally oracle agrees with both fixed point searches and the cycle search."""
+    limit = length_bound(base).length_bound
+    fixed, cycles = tally_oracle(base, limit)
+    assert fixed == enumerate_fixed_points(base)
+    assert fixed == description_space_fixed_points(base, limit)
+    assert cycles == {record.words for record in enumerate_cycles(base)}
+
+
+@pytest.mark.parametrize("base", range(2, 8))
+def test_tally_oracle_matches_searches(base):
+    check_tally_oracle(base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 36).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=80))
+    )
+)
+def test_step_reads_only_the_tally(case):
+    # what lets the tally oracle step one sorted word per tally
+    base, letters = case
+    assert step(tuple(sorted(letters)), base) == step(tuple(letters), base)
 
 
 @pytest.mark.parametrize("r, limit", [(0, 3), (1, 5), (2, 9), (3, 12), (4, 4), (5, 4), (3, 0), (6, 17)])
