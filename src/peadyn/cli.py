@@ -18,8 +18,8 @@ from typing import NamedTuple
 from .core import Word, format_word, parse_word, step
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound, orbit
 from .golden import EXPECTED_FIXED_POINTS
-from .search import (DEFAULT_BUDGET, BudgetExceeded, count_fixed_points, cycle_sort_key,
-                     enumerate_cycles, enumerate_fixed_points, word_sort_key)
+from .search import (DEFAULT_BUDGET, DEFAULT_WORD_BUDGET, BudgetExceeded, count_fixed_points,
+                     cycle_sort_key, enumerate_cycles, enumerate_fixed_points, word_sort_key)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -86,8 +86,11 @@ def _base_list(text: str) -> tuple[int, ...]:
     return bases
 
 
-def _env_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET))
+def _env_budget() -> int | None:
+    """The budget from the environment, or None for each search's own default."""
+    raw = os.environ.get(BUDGET_ENV)
+    if raw is None:
+        return None
     try:
         value = int(raw)
     except ValueError:
@@ -203,8 +206,8 @@ OPTIONS = {
     "length_limit": (("--length-limit",), dict(type=_positive_int, help="length cap (default: the bound)")),
     "margin": (("--margin",), dict(type=_nonnegative_int, default=0, help="extra length over the cap")),
     "budget": (("--budget",), dict(type=_positive_int,
-                                   help=f"most fixed point words to list, or cycle seeds to walk "
-                                        f"(default {DEFAULT_BUDGET}, env {BUDGET_ENV})")),
+                                   help=f"most fixed point words to list (default {DEFAULT_WORD_BUDGET}) "
+                                        f"or cycle seeds to walk (default {DEFAULT_BUDGET}); env {BUDGET_ENV}")),
     "count": (("--count",), dict(action="store_true",
                                  help="print how many fixed points there are, not the list; no budget")),
     "bases": (("--bases",), dict(type=_base_list, default=tuple(sorted(EXPECTED_FIXED_POINTS)),

@@ -27,21 +27,16 @@ image has the same tally. Counting needs the families only; listing expands
 them after the budget check, so a search that is over budget fails before it
 renders a word.
 
-The cores are walked as nondecreasing tuples, with three cuts:
+The cores are walked as nondecreasing tuples, with two cuts:
 
 - Each count c adds 2c - len(c) - 1 >= 1 to the word length sum(core) + m1,
   so the walk stops at the length limit.
-- Outside base 2, where count 2 is spelled "10" and lowers m1 by 1, every
-  count adds c - len(c) - 1 >= 0 to m1. So once the core size plus m1 passes
-  k, no longer core comes back under it. This bound alone keeps the
-  enumeration finite, even with no length limit: c - len(c) - 1 <= k caps
-  every count at about k + 3, and at most k letters have a count >= 2.
-- |F| must equal the core size, yet F holds only the digits of the core's
-  numerals plus perhaps the letter 1. A further count of n digits adds 1 to
-  the core size and at most n digits, so it closes that gap by at most
-  n - 1, and it lengthens the word by at least (n - 1)(2k - 3). A core whose
-  gap the remaining length cannot close is cut with every core that extends
-  it.
+- The core size is |F| <= k, so no core grows past k counts. Outside base
+  2, where count 2 is spelled "10" and lowers m1 by 1, every count adds
+  c - len(c) - 1 >= 0 to m1, so once the core size plus m1 passes k no
+  longer core comes back under it. This bound alone keeps the enumeration
+  finite, even with no length limit: c - len(c) - 1 <= k caps every count
+  at about k + 3, and at most k letters have a count >= 2.
 
 Cycle search works on tallies (letter-count vectors) rather than words: the
 step map reads a word only through its tally, so every cycle of words is a
@@ -63,12 +58,15 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from typing import NamedTuple
 
-from .core import Description, Word, _numeral_digits, _step, check_base, describe, digit_length
+from .core import Block, Description, Word, _numeral_digits, _step, check_base, describe, digit_length, render
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 
 DEFAULT_BUDGET = 10**8
+# Listed fixed points are held in one set, about 290 bytes a word at k=22, so
+# the default lists every base up to 23 (524,541 words, about 150 MB) and
+# refuses base 24 and above before it renders a word.
+DEFAULT_WORD_BUDGET = 10**6
 
 Tally = tuple[int, ...]  # letter counts indexed by letter, length base
 State = tuple[int, ...]  # a word or a tally, whichever _resolve_terminal walks
@@ -176,31 +174,6 @@ def _slack(description: Description) -> int:
     return slack
 
 
-class _Family(NamedTuple):
-    """The fixed points that share one core.
-
-    ``own`` holds the count of every forced letter and 0 elsewhere; each
-    member adds ``ones`` of the other letters with count 1.
-    """
-
-    own: Tally
-    ones: int
-
-    @property
-    def size(self) -> int:
-        return comb(self.own.count(0), self.ones)
-
-    def words(self) -> Iterator[Word]:
-        base = len(self.own)
-        tally = list(self.own)
-        for chosen in combinations([b for b in range(base) if not tally[b]], self.ones):
-            for b in chosen:
-                tally[b] = 1
-            yield _render_tally(tally, base)
-            for b in chosen:
-                tally[b] = 0
-
-
 def _fixed_point_cores(
     base: int,
     limit: int,
@@ -208,32 +181,30 @@ def _fixed_point_cores(
     core: tuple[int, ...] = (),
     length: int = 0,
     ones: int = 0,
-    digits: frozenset[int] = frozenset(),
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (core, m1) for every core that extends ``core`` by counts >= low.
 
-    ``length`` is the sum of ``core``, ``ones`` its m1 so far and ``digits``
-    the letters its numerals use. The cores come as nondecreasing tuples, and
-    only those that the three cuts of the module docstring leave standing.
+    ``length`` is the sum of ``core`` and ``ones`` its m1 so far. The cores
+    come as nondecreasing tuples, and only those that the cuts of the module
+    docstring leave standing.
     """
     for c in range(low, limit + 1):
-        numeral = _numeral_digits(c, base)
-        extra = c - len(numeral) - 1  # what c adds to m1
-        total = length + c + ones + extra  # the word length if the core ended at c
-        if total > limit:
+        extra = c - digit_length(c, base) - 1  # what c adds to m1
+        if length + c + ones + extra > limit:
             return
         grown = core + (c,)
-        if extra >= 0 and len(grown) + ones + extra > base:
+        if len(grown) > base or (extra >= 0 and len(grown) + ones + extra > base):
             return
-        used = digits.union(numeral)
-        if len(grown) - len(used) - 1 > (limit - total) // (2 * base - 3):
-            continue
         yield grown, ones + extra
-        yield from _fixed_point_cores(base, limit, c, grown, length + c, ones + extra, used)
+        yield from _fixed_point_cores(base, limit, c, grown, length + c, ones + extra)
 
 
-def _fixed_point_families(base: int, length_limit: int | None) -> list[_Family]:
-    """Every family of fixed points of length <= the limit, default the eventual cap."""
+def _fixed_point_families(base: int, length_limit: int | None) -> list[tuple[Tally, int]]:
+    """Every family of fixed points of length <= the limit, default the eventual cap.
+
+    A family is a pair: the tally of its forced letters, 0 on every other
+    letter, and m1, how many of those other letters each member adds once.
+    """
     check_base(base)
     limit = length_bound(base).length_bound if length_limit is None else length_limit
     if limit < 1:
@@ -245,9 +216,9 @@ def _fixed_point_families(base: int, length_limit: int | None) -> list[_Family]:
             continue
         tally = _digit_tally(core, base)
         tally[1] += ones
-        own = tuple(t + 1 if t else 0 for t in tally)
-        if sorted(c for c in own if c) == list(core):
-            families.append(_Family(own, ones))
+        forced = tuple(t + 1 if t else 0 for t in tally)
+        if sorted(c for c in forced if c) == list(core):
+            families.append((forced, ones))
     return families
 
 
@@ -257,7 +228,7 @@ def count_fixed_points(base: int, length_limit: int | None = None) -> int:
     Sums the family sizes without listing a word, so it takes no budget and
     reaches base 36, whose 4,294,967,926 fixed points no list could hold.
     """
-    return sum(family.size for family in _fixed_point_families(base, length_limit))
+    return sum(comb(forced.count(0), ones) for forced, ones in _fixed_point_families(base, length_limit))
 
 
 def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget: int | None = None) -> set[Word]:
@@ -267,15 +238,25 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
     any fixed point recurs forever, so its length fits under the cap. The
     words come from families of fixed points that share their counts of 2 or
     more (see the module docstring). The budget caps the number of words
-    listed: the family sizes are summed first, and the search raises
-    ``BudgetExceeded`` before it renders any word if they exceed it.
+    listed, default ``DEFAULT_WORD_BUDGET``: the family sizes are summed
+    first, and the search raises ``BudgetExceeded`` before it renders any
+    word if they exceed it.
     """
     families = _fixed_point_families(base, length_limit)
-    allowed = DEFAULT_BUDGET if budget is None else budget
-    needed = sum(family.size for family in families)
+    allowed = DEFAULT_WORD_BUDGET if budget is None else budget
+    needed = sum(comb(forced.count(0), ones) for forced, ones in families)
     if needed > allowed:
         raise BudgetExceeded(f"fixed point search in base {base} needs {needed} words, budget is {allowed}")
-    return {word for family in families for word in family.words()}
+    words = set()
+    for forced, ones in families:
+        tally = list(forced)
+        for chosen in combinations([b for b in range(base) if not forced[b]], ones):
+            for b in chosen:
+                tally[b] = 1
+            words.add(_render_tally(tally, base))
+            for b in chosen:
+                tally[b] = 0
+    return words
 
 
 def _digit_tally(counts: tuple[int, ...], base: int) -> list[int]:
@@ -303,12 +284,8 @@ def _tally_image(tally: Tally, base: int) -> Tally:
 
 def _render_tally(tally: Tally, base: int) -> Word:
     """step(w) for every word w whose tally is ``tally``."""
-    out: list[int] = []
-    for b in range(base - 1, -1, -1):
-        if tally[b]:
-            out.extend(_numeral_digits(tally[b], base))
-            out.append(b)
-    return tuple(out)
+    blocks = tuple(Block(tally[b], b) for b in range(base - 1, -1, -1) if tally[b])
+    return render(Description(blocks, base))
 
 
 def _count_multisets(

@@ -127,6 +127,12 @@ def test_fixed_points_count_equals_list_length(capsys, base):
     assert json.loads(out) == {"base": base, "bound": listed["bound"], "count": len(listed["fixed_points"])}
 
 
+def test_fixed_points_base2_far_past_the_cap(capsys):
+    code, out, _ = run(capsys, "fixed-points", "-k", "2", "--margin", "3000", "--count", "--format", "csv")
+    assert code == 0
+    assert out == "base,bound,count\n2,3008,2\n"
+
+
 def test_fixed_points_base36_counts_but_exceeds_budget(capsys):
     code, out, err = run(capsys, "fixed-points", "-k", "36")
     assert code == 4

@@ -28,7 +28,7 @@ from peadyn import (
     word_sort_key,
 )
 from peadyn.golden import EXPECTED_FIXED_POINTS
-from peadyn.search import _count_multisets, _tally_image
+from peadyn.search import DEFAULT_WORD_BUDGET, _count_multisets, _tally_image
 from expected_cycles import EXPECTED_CYCLES
 from reference import description_space_fixed_points, tally_oracle, verify_base2_convergence
 
@@ -350,6 +350,26 @@ def test_fixed_point_counts_match_frozen_search(base, count):
     # sizes the multiset-and-letter-set search found before the family solver
     assert len(enumerate_fixed_points(base)) == count
     assert count_fixed_points(base) == count
+
+
+def test_default_budget_lists_base_23_and_refuses_base_24():
+    # the default keeps a listing in memory: base 24 fails before a word is rendered
+    assert count_fixed_points(23) <= DEFAULT_WORD_BUDGET < count_fixed_points(24)
+    with pytest.raises(BudgetExceeded, match="base 24 needs 1048852 words, budget is 1000000"):
+        enumerate_fixed_points(24)
+
+
+@pytest.mark.parametrize("base", range(2, 17))
+def test_no_fixed_point_is_longer_than_the_cap(base):
+    # the core walk ends without a length limit, so a limit far past the cap
+    # shows every fixed point there is
+    assert count_fixed_points(base, 10**6) == count_fixed_points(base)
+
+
+def test_base2_search_far_past_the_cap():
+    # count 2 lowers m1 in base 2, so only the core size bounds the walk there
+    assert count_fixed_points(2, 3000) == 2
+    assert enumerate_fixed_points(2, 3000) == expected_words(2)
 
 
 def check_tally_oracle(base):
