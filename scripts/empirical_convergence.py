@@ -26,6 +26,13 @@ def _bases(text: str) -> tuple[int, ...]:
     return bases
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def run_base(cfg: argparse.Namespace, base: int, rng: random.Random) -> None:
     transients = []
     periods = Counter()
@@ -54,13 +61,13 @@ def run_base(cfg: argparse.Namespace, base: int, rng: random.Random) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=20260818)
-    parser.add_argument("--samples", type=int, default=2000,
+    parser.add_argument("--samples", type=_positive_int, default=2000,
                         help="orbits per base (default %(default)s)")
-    parser.add_argument("--max-length", type=int, default=300,
+    parser.add_argument("--max-length", type=_positive_int, default=300,
                         help="start words are 1..this long (default %(default)s)")
     parser.add_argument("--bases", type=_bases, default="2,3,4,5,6",
                         help="comma separated bases (default %(default)s)")
-    parser.add_argument("--max-steps", type=int, default=10000)
+    parser.add_argument("--max-steps", type=_positive_int, default=10000)
     cfg = parser.parse_args()
     rng = random.Random(cfg.seed)
     print(f"seed {cfg.seed}, {cfg.samples} samples per base, lengths 1..{cfg.max_length}")

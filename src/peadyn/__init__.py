@@ -34,7 +34,6 @@ from .search import (
     CycleRecord,
     brute_force_classify,
     canonical_cycle,
-    classify,
     count_fixed_points,
     cycle_inequality_holds,
     enumerate_cycles,
@@ -62,7 +61,6 @@ __all__ = [
     "Word",
     "brute_force_classify",
     "canonical_cycle",
-    "classify",
     "count_fixed_points",
     "cycle_inequality_holds",
     "cycle_sort_key",

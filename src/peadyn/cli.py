@@ -2,8 +2,9 @@
 
 Each command returns its answer once, in every output shape; ``_emit`` writes one.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
-3 orbit step limit exceeded, 4 search budget exceeded.
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input (an --output
+path that cannot be written included), 3 orbit step limit exceeded, 4 search
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ EXIT_BUDGET = 4
 BUDGET_ENV = "PEADYN_BUDGET"
 FORMATS = ("json", "csv", "table")
 # the exit code for each error a command reports, matched in this order
-ERROR_EXITS = {ValueError: EXIT_INVALID, OrbitLimitExceeded: EXIT_ORBIT_LIMIT, BudgetExceeded: EXIT_BUDGET}
+ERROR_EXITS = {ValueError: EXIT_INVALID, OrbitLimitExceeded: EXIT_ORBIT_LIMIT, BudgetExceeded: EXIT_BUDGET,
+               OSError: EXIT_INVALID}
 
 
 class Result(NamedTuple):
@@ -207,7 +209,8 @@ OPTIONS = {
     "margin": (("--margin",), dict(type=_nonnegative_int, default=0, help="extra length over the cap")),
     "budget": (("--budget",), dict(type=_positive_int,
                                    help=f"most fixed point words to list (default {DEFAULT_WORD_BUDGET}) "
-                                        f"or cycle seeds to walk (default {DEFAULT_BUDGET}); env {BUDGET_ENV}")),
+                                        f"or cycle seeds to build, count multisets plus seed pairs "
+                                        f"(default {DEFAULT_BUDGET}); env {BUDGET_ENV}")),
     "count": (("--count",), dict(action="store_true",
                                  help="print how many fixed points there are, not the list; no budget")),
     "bases": (("--bases",), dict(type=_base_list, default=tuple(sorted(EXPECTED_FIXED_POINTS)),

@@ -7,6 +7,7 @@ are significant, so (0, 1, 1, 0) and (1, 1, 0) are different states.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -122,27 +123,33 @@ def describe(word: Word, base: int) -> Description:
     check_word(word, base)
     if not word:
         raise ValueError("the empty word has no description")
-    tally = [0] * base
-    for letter in word:
-        tally[letter] += 1
+    tally = _tally(word, base)
     blocks = tuple(Block(tally[b], b) for b in range(base - 1, -1, -1) if tally[b])
     return Description(blocks, base)
 
 
 def render(description: Description) -> Word:
     """Spell a description out: each count as a base-k numeral, then its letter."""
-    out: list[int] = []
+    tally = [0] * description.base
     for count, letter in description.blocks:
-        out.extend(_numeral_digits(count, description.base))
-        out.append(letter)
-    return tuple(out)
+        tally[letter] = count
+    return _spell(tally, description.base)
 
 
-def _step(word: Word, base: int) -> Word:
-    # fused describe + render without validation; hot path for orbit and search
+def _tally(word: Iterable[int], base: int) -> list[int]:
+    """How many times each letter occurs in ``word``, indexed by letter."""
     tally = [0] * base
     for letter in word:
         tally[letter] += 1
+    return tally
+
+
+def _spell(tally: Sequence[int], base: int) -> Word:
+    """The word that says ``tally``, the one place a count is written as a numeral.
+
+    For each letter present, largest first: its count as a base-k numeral,
+    then the letter itself.
+    """
     out: list[int] = []
     for b in range(base - 1, -1, -1):
         c = tally[b]
@@ -150,6 +157,11 @@ def _step(word: Word, base: int) -> Word:
             out.extend(_numeral_digits(c, base))
             out.append(b)
     return tuple(out)
+
+
+def _step(word: Word, base: int) -> Word:
+    # describe + render without validation; hot path for orbit and search
+    return _spell(_tally(word, base), base)
 
 
 def step(word: Word, base: int) -> Word:

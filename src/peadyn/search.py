@@ -59,10 +59,14 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .core import Block, Description, Word, _numeral_digits, _step, check_base, describe, digit_length, render
+from .core import Description, Word, _numeral_digits, _spell, _step, _tally, check_base, describe, digit_length
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 
-DEFAULT_BUDGET = 10**8
+# Cycle seeds, or words for the word-by-word classifier. At about 60 bytes a
+# seed pair, cycles run up to base 12 (5,747,126 seeds, 358 MB). Stepping about
+# 300,000 words a second (2-vCPU Xeon), the classifier refuses a sweep of over
+# about 30 s: base 2 runs up to length 22, not 23 (16,777,214 words).
+DEFAULT_BUDGET = 10**7
 # Listed fixed points are held in one set, about 290 bytes a word at k=22, so
 # the default lists every base up to 23 (524,541 words, about 150 MB) and
 # refuses base 24 and above before it renders a word.
@@ -76,8 +80,9 @@ class BudgetExceeded(RuntimeError):
     """The requested search is larger than its budget.
 
     The fixed point search counts the words it would list; the cycle search
-    counts its image seeds; the word-by-word classifier counts the words it
-    would visit.
+    counts the tallies it builds, one per count multiset it walks and one per
+    (letter set, numeral tally) seed pair; the word-by-word classifier counts
+    the words it would visit.
     """
 
 
@@ -112,17 +117,12 @@ class CycleRecord:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Everything one search found: fixed points plus period >= 2 cycles.
-
-    ``method`` records how the result was obtained: "description-search" for
-    the pruned searches, "exhaustive" for the word-by-word oracle.
-    """
+    """Everything the word-by-word classifier found: fixed points plus period >= 2 cycles."""
 
     base: int
     fixed_points: tuple[Word, ...]
     cycles: tuple[CycleRecord, ...]
     search_length_limit: int
-    method: str
 
 
 def word_sort_key(word: Word) -> tuple[int, Word]:
@@ -253,7 +253,7 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
         for chosen in combinations([b for b in range(base) if not forced[b]], ones):
             for b in chosen:
                 tally[b] = 1
-            words.add(_render_tally(tally, base))
+            words.add(_spell(tally, base))
             for b in chosen:
                 tally[b] = 0
     return words
@@ -261,31 +261,12 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
 
 def _digit_tally(counts: tuple[int, ...], base: int) -> list[int]:
     """How often each letter occurs among the base-k numerals of ``counts``."""
-    tally = [0] * base
-    for c in counts:
-        for d in _numeral_digits(c, base):
-            tally[d] += 1
-    return tally
+    return _tally([d for c in counts for d in _numeral_digits(c, base)], base)
 
 
 def _tally_image(tally: Tally, base: int) -> Tally:
-    """The tally of step(w) for every word w whose tally is ``tally``.
-
-    The image spells each present letter once, after the numeral of its
-    count, so letter d occurs once if it is present plus once per digit d
-    among the count numerals.
-    """
-    out = _digit_tally([c for c in tally if c], base)
-    for b, c in enumerate(tally):
-        if c:
-            out[b] += 1
-    return tuple(out)
-
-
-def _render_tally(tally: Tally, base: int) -> Word:
-    """step(w) for every word w whose tally is ``tally``."""
-    blocks = tuple(Block(tally[b], b) for b in range(base - 1, -1, -1) if tally[b])
-    return render(Description(blocks, base))
+    """The tally of step(w) for every word w whose tally is ``tally``."""
+    return tuple(_tally(_spell(tally, base), base))
 
 
 def _count_multisets(
@@ -295,14 +276,30 @@ def _count_multisets(
 
     Each multiset of block counts appears once, as its sorted tuple, in
     lexicographic order: the next count runs over low..limit // r and the
-    rest recurse on what is left, never below the count before them. The
-    recursion carries the counts chosen so far in ``prefix``.
+    rest recurse on what is left, never below the count before them, with
+    the counts chosen so far in ``prefix``.
     """
     if r == 0:
         yield prefix
         return
     for c in range(low, limit // r + 1):
         yield from _count_multisets(r - 1, limit - c, c, prefix + (c,))
+
+
+def _multiset_total(top: int, limit: int) -> int:
+    """How many tuples ``_count_multisets(r, limit)`` yields over r = 1..top.
+
+    ``parts[n]`` counts the partitions of n into exactly r parts, as
+    p(n, r) = p(n - 1, r - 1) + p(n - r, r): some part is 1 or none is.
+    """
+    parts = [1] + [0] * limit
+    total = 0
+    for r in range(1, top + 1):
+        parts = [0] + parts[:-1]
+        for n in range(r, limit + 1):
+            parts[n] += parts[n - r]
+        total += sum(parts)
+    return total
 
 
 def _resolve_terminal(
@@ -367,23 +364,32 @@ def enumerate_cycles(
     letter plus the digits of its count numerals, which depend only on the
     multiset of counts, so many seeds share a tally and each distinct one is
     walked once. Orbits share one terminal cache keyed on tallies. The budget
-    caps the number of image seeds, counted in closed form before the search.
+    caps the tallies built: one numeral tally per count multiset, counted
+    before the walk, and one seed per (letter set, numeral tally) pair,
+    counted before the seed loop. The first count over the budget is named
+    in the error, so a long limit or a large base fails before any walk.
     """
     check_base(base)
     limit = length_bound(base).length_bound if length_limit is None else length_limit
     if limit < 2:
         raise ValueError(f"cycle search needs a length limit of at least 2, got {limit}")
     allowed = DEFAULT_BUDGET if budget is None else budget
-    total_seeds = sum(comb(base, r) * comb(limit, r) for r in range(1, min(base, limit) + 1))
-    if total_seeds > allowed:
-        raise BudgetExceeded(
-            f"cycle search in base {base} needs {total_seeds} seeds, budget is {allowed}"
-        )
+    top = min(base, limit)
+    # the multisets of one and two counts, so a long limit allocates no list
+    needed = limit + limit * limit // 4
+    if needed <= allowed:
+        needed = _multiset_total(top, limit)
+    numeral_tallies_by_r = []
+    for r in range(1, top + 1):
+        if needed > allowed:
+            break
+        numeral_tallies = {tuple(_digit_tally(counts, base)) for counts in _count_multisets(r, limit)}
+        numeral_tallies_by_r.append((r, numeral_tallies))
+        needed += comb(base, r) * len(numeral_tallies)
+    if needed > allowed:
+        raise BudgetExceeded(f"cycle search in base {base} needs {needed} seeds, budget is {allowed}")
     seeds: set[Tally] = set()
-    for r in range(1, min(base, limit) + 1):
-        numeral_tallies = {
-            tuple(_digit_tally(counts, base)) for counts in _count_multisets(r, limit)
-        }
+    for r, numeral_tallies in numeral_tallies_by_r:
         for letters in combinations(range(base), r):
             for digits in numeral_tallies:
                 seed = list(digits)
@@ -394,32 +400,12 @@ def enumerate_cycles(
     registry: list[tuple[Tally, ...]] = []
     for seed in seeds:
         _resolve_terminal(seed, _tally_image, base, memo, registry, max_steps)
-    # the word after tally t is its render, so a tally cycle spells a word cycle
+    # the word after tally t is its spelling, so a tally cycle spells a word cycle
     return {
-        canonical_cycle(tuple(_render_tally(t, base) for t in tallies), base)
+        canonical_cycle(tuple(_spell(t, base) for t in tallies), base)
         for tallies in registry
         if len(tallies) >= 2
     }
-
-
-def classify(
-    base: int,
-    length_limit: int | None = None,
-    *,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    budget: int | None = None,
-) -> ClassificationReport:
-    """Report from the pruned description searches, deterministically ordered."""
-    limit = length_bound(base).length_bound if length_limit is None else length_limit
-    fixed = enumerate_fixed_points(base, limit, budget=budget)
-    cycles = enumerate_cycles(base, limit, max_steps=max_steps, budget=budget)
-    return ClassificationReport(
-        base=base,
-        fixed_points=tuple(sorted(fixed, key=word_sort_key)),
-        cycles=tuple(sorted(cycles, key=cycle_sort_key)),
-        search_length_limit=limit,
-        method="description-search",
-    )
 
 
 def brute_force_classify(
@@ -434,7 +420,8 @@ def brute_force_classify(
     The completeness oracle for the description searches: slow but assumption
     free. Fixed points come from a direct step(w) == w test on every word;
     cycles are the terminals of every orbit, resolved through a shared cache
-    that keeps the sweep close to linear in the number of words.
+    that keeps the sweep close to linear in the number of words. The budget
+    caps the words visited; its default refuses sweeps of over about 30 s.
     """
     check_base(base)
     if max_len < 1:
@@ -463,5 +450,4 @@ def brute_force_classify(
         fixed_points=tuple(sorted(fixed, key=word_sort_key)),
         cycles=tuple(cycles),
         search_length_limit=max_len,
-        method="exhaustive",
     )

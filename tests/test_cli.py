@@ -318,10 +318,26 @@ def test_budget_flag_overrides_env(capsys, monkeypatch):
     assert len(json.loads(out)["fixed_points"]) == 19
 
 
+def test_output_to_missing_directory_is_invalid_input(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "step", "-k", "2", "-w", "1", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert str(target) in err
+    assert not target.exists()
+
+
 def test_cycles_budget_exit_code(capsys):
     code, _, err = run(capsys, "cycles", "-k", "6", "--budget", "1000")
     assert code == 4
     assert "seeds" in err
+
+
+def test_cycles_long_limit_refused_before_walking(capsys):
+    code, _, err = run(capsys, "cycles", "-k", "2", "--length-limit", "1000000")
+    assert code == 4
+    assert err == "error: cycle search in base 2 needs 250001000000 seeds, budget is 10000000\n"
 
 
 def test_invalid_format_rejected(capsys):

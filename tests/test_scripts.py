@@ -7,11 +7,23 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "empirical_convergence.py"
 
 
-@pytest.mark.parametrize("bases", ["1", "37", "2,37"])
-def test_convergence_script_rejects_bases_out_of_range(bases):
-    proc = subprocess.run([sys.executable, str(SCRIPT), "--bases", bases], capture_output=True, text=True)
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["--bases", "1"], "outside 2..36", id="1"),
+        pytest.param(["--bases", "37"], "outside 2..36", id="37"),
+        pytest.param(["--bases", "2,37"], "outside 2..36", id="2,37"),
+        pytest.param(["--samples", "0"], "expected a positive integer, got 0", id="samples-0"),
+        pytest.param(["--max-length", "0"], "expected a positive integer, got 0", id="max-length-0"),
+        pytest.param(["--max-steps", "0"], "expected a positive integer, got 0", id="max-steps-0"),
+        pytest.param(["--samples", "-3"], "expected a positive integer, got -3", id="samples-negative"),
+    ],
+)
+def test_convergence_script_rejects_bases_out_of_range(argv, message):
+    # every option outside its range is an argparse usage error, never a traceback
+    proc = subprocess.run([sys.executable, str(SCRIPT), *argv], capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage:")
-    assert "outside 2..36" in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import gc
+import time
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -12,7 +13,6 @@ from peadyn import (
     Description,
     brute_force_classify,
     canonical_cycle,
-    classify,
     count_fixed_points,
     cycle_inequality_holds,
     cycle_sort_key,
@@ -28,7 +28,7 @@ from peadyn import (
     word_sort_key,
 )
 from peadyn.golden import EXPECTED_FIXED_POINTS
-from peadyn.search import DEFAULT_WORD_BUDGET, _count_multisets, _tally_image
+from peadyn.search import DEFAULT_BUDGET, DEFAULT_WORD_BUDGET, _count_multisets, _multiset_total, _tally_image
 from expected_cycles import EXPECTED_CYCLES
 from reference import description_space_fixed_points, tally_oracle, verify_base2_convergence
 
@@ -136,7 +136,7 @@ def test_search_matches_brute_force(base, max_len):
     report = brute_force_classify(base, max_len)
     assert set(report.fixed_points) == enumerate_fixed_points(base)
     assert set(report.cycles) == enumerate_cycles(base)
-    assert report.method == "exhaustive"
+    assert list(report.fixed_points) == sorted(report.fixed_points, key=word_sort_key)
 
 
 def test_fixed_point_inequality_examples():
@@ -266,6 +266,32 @@ def test_cycle_search_budget_guard():
         enumerate_cycles(6, budget=1000)
 
 
+def test_cycle_budget_counts_seed_pairs():
+    # the budget counts one numeral tally per count multiset walked plus the
+    # (letter set, numeral tally) seed pairs, before the walk: 497 + 4,361 in
+    # base 6 and 8,033 + 1,830,630 in base 11
+    assert len(enumerate_cycles(6, budget=4858)) == 1
+    with pytest.raises(BudgetExceeded, match="base 6 needs 4858 seeds, budget is 4857"):
+        enumerate_cycles(6, budget=4857)
+    with pytest.raises(BudgetExceeded, match="base 11 needs 1838663 seeds, budget is 1838662"):
+        enumerate_cycles(11, budget=1838662)
+    assert 1838663 <= DEFAULT_BUDGET < 17672988
+    # the count multisets grow like limit**r while their numeral tallies stay
+    # few, so they are counted in closed form, not walked, and refused at once
+    start = time.perf_counter()
+    for base, limit in ((2, 10**6), (2, 10**12), (3, 3008), (10, 100)):
+        with pytest.raises(BudgetExceeded):
+            enumerate_cycles(base, limit)
+    assert time.perf_counter() - start < 1
+
+
+def test_multiset_total_matches_the_walk():
+    for top in range(1, 6):
+        for limit in range(2, 20):
+            walked = sum(1 for r in range(1, top + 1) for _ in _count_multisets(r, limit))
+            assert _multiset_total(top, limit) == walked
+
+
 def test_search_rejects_bad_limits():
     with pytest.raises(ValueError):
         enumerate_fixed_points(2, 0)
@@ -277,17 +303,6 @@ def test_search_rejects_bad_limits():
 
 def test_fixed_points_tiny_limit_is_empty():
     assert enumerate_fixed_points(2, 2) == set()
-
-
-def test_classify_report_shape():
-    report = classify(3)
-    assert report.base == 3
-    assert report.method == "description-search"
-    assert report.search_length_limit == 9
-    assert list(report.fixed_points) == sorted(report.fixed_points, key=word_sort_key)
-    assert {format_word(w) for w in report.fixed_points} == set(EXPECTED_FIXED_POINTS[3])
-    assert len(report.cycles) == 1
-    assert report == classify(3)
 
 
 def test_classify_with_margin_is_stable():
