@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if "budget" in args and args.budget is None:
+        # --count lists nothing, so it takes no budget
+        if "budget" in args and args.budget is None and not getattr(args, "count", False):
             args.budget = _env_budget()
         return _emit(args.handler(args), args)
     except tuple(ERROR_EXITS) as exc:

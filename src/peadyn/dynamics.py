@@ -52,9 +52,9 @@ def length_bound(base: int) -> BoundInfo:
 def orbit(start: Word, base: int, max_steps: int = DEFAULT_MAX_STEPS) -> OrbitResult:
     """Iterate the step map from ``start`` until the first revisit.
 
-    Keeps a word -> first index map, so one pass yields the exact transient
-    and period. Raises OrbitLimitExceeded if no repeat shows up within
-    ``max_steps`` applications.
+    Keeps one word -> first index map, in visit order, so one pass yields the
+    exact transient and period, and the map's tail is the cycle. Raises
+    OrbitLimitExceeded if no repeat shows up within ``max_steps`` applications.
     """
     check_base(base)
     check_word(start, base)
@@ -63,7 +63,6 @@ def orbit(start: Word, base: int, max_steps: int = DEFAULT_MAX_STEPS) -> OrbitRe
     if max_steps < 1:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
     first_seen = {start: 0}
-    trail = [start]
     current = start
     for n in range(1, max_steps + 1):
         current = _step(current, base)
@@ -73,10 +72,9 @@ def orbit(start: Word, base: int, max_steps: int = DEFAULT_MAX_STEPS) -> OrbitRe
                 start=start,
                 transient=prior,
                 period=n - prior,
-                cycle=tuple(trail[prior:]),
+                cycle=tuple(first_seen)[prior:],
                 steps_taken=n,
             )
         first_seen[current] = n
-        trail.append(current)
     raise OrbitLimitExceeded(f"no repeat within {max_steps} steps from the given start")
 

@@ -62,8 +62,8 @@ from math import comb
 from .core import Description, Word, _numeral_digits, _spell, _step, _tally, check_base, describe, digit_length
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 
-# Cycle seeds, or words for the word-by-word classifier. At about 60 bytes a
-# seed pair, cycles run up to base 12 (5,747,126 seeds, 358 MB). Stepping about
+# Cycle seeds, or words for the word-by-word classifier. At about 45 bytes a
+# seed pair, cycles run up to base 12 (5,747,126 seeds, 247 MB). Stepping about
 # 300,000 words a second (2-vCPU Xeon), the classifier refuses a sweep of over
 # about 30 s: base 2 runs up to length 22, not 23 (16,777,214 words).
 DEFAULT_BUDGET = 10**7
@@ -320,24 +320,22 @@ def _resolve_terminal(
     cid = memo.get(start)
     if cid is not None:
         return cid
-    path = [start]
-    first = {start: 0}
+    seen = {start: 0}  # each state of this walk -> its position, in visit order
     current = start
     while True:
         current = image(current, base)
         cid = memo.get(current)
         if cid is not None:
             break
-        j = first.get(current)
+        j = seen.get(current)
         if j is not None:
-            registry.append(tuple(path[j:]))
+            registry.append(tuple(seen)[j:])
             cid = len(registry) - 1
             break
-        if len(path) >= max_steps:
+        if len(seen) >= max_steps:
             raise OrbitLimitExceeded(f"no repeat within {max_steps} steps during search")
-        first[current] = len(path)
-        path.append(current)
-    for state in path:
+        seen[current] = len(seen)
+    for state in seen:
         memo[state] = cid
     return cid
 
@@ -362,12 +360,13 @@ def enumerate_cycles(
 
     The walk runs on tallies, not words. A seed's tally is one per block
     letter plus the digits of its count numerals, which depend only on the
-    multiset of counts, so many seeds share a tally and each distinct one is
-    walked once. Orbits share one terminal cache keyed on tallies. The budget
-    caps the tallies built: one numeral tally per count multiset, counted
-    before the walk, and one seed per (letter set, numeral tally) pair,
-    counted before the seed loop. The first count over the budget is named
-    in the error, so a long limit or a large base fails before any walk.
+    multiset of counts, so many seeds share a tally. Each seed is resolved
+    as it is built, through one terminal cache keyed on tallies, so each
+    distinct tally is walked once. The budget caps the tallies built: one
+    numeral tally per count multiset, counted before the walk, and one seed
+    per (letter set, numeral tally) pair, counted before the seed loop. The
+    first count over the budget is named in the error, so a long limit or a
+    large base fails before any walk.
     """
     check_base(base)
     limit = length_bound(base).length_bound if length_limit is None else length_limit
@@ -388,18 +387,15 @@ def enumerate_cycles(
         needed += comb(base, r) * len(numeral_tallies)
     if needed > allowed:
         raise BudgetExceeded(f"cycle search in base {base} needs {needed} seeds, budget is {allowed}")
-    seeds: set[Tally] = set()
+    memo: dict[Tally, int] = {}
+    registry: list[tuple[Tally, ...]] = []
     for r, numeral_tallies in numeral_tallies_by_r:
         for letters in combinations(range(base), r):
             for digits in numeral_tallies:
                 seed = list(digits)
                 for b in letters:
                     seed[b] += 1
-                seeds.add(tuple(seed))
-    memo: dict[Tally, int] = {}
-    registry: list[tuple[Tally, ...]] = []
-    for seed in seeds:
-        _resolve_terminal(seed, _tally_image, base, memo, registry, max_steps)
+                _resolve_terminal(tuple(seed), _tally_image, base, memo, registry, max_steps)
     # the word after tally t is its spelling, so a tally cycle spells a word cycle
     return {
         canonical_cycle(tuple(_spell(t, base) for t in tallies), base)
@@ -413,15 +409,15 @@ def brute_force_classify(
     max_len: int,
     *,
     budget: int | None = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> ClassificationReport:
     """Classify by visiting every nonempty word up to max_len, no pruning.
 
     The completeness oracle for the description searches: slow but assumption
     free. Fixed points come from a direct step(w) == w test on every word;
     cycles are the terminals of every orbit, resolved through a shared cache
-    that keeps the sweep close to linear in the number of words. The budget
-    caps the words visited; its default refuses sweeps of over about 30 s.
+    that keeps the sweep close to linear in the number of words, with the
+    step guard at ``DEFAULT_MAX_STEPS``. The budget caps the words visited;
+    its default refuses sweeps of over about 30 s.
     """
     check_base(base)
     if max_len < 1:
@@ -441,7 +437,7 @@ def brute_force_classify(
             if image == word:
                 fixed.append(word)
             if image not in memo:
-                resolve(image, step_, base, memo, registry, max_steps)
+                resolve(image, step_, base, memo, registry, DEFAULT_MAX_STEPS)
     cycles = sorted(
         (canonical_cycle(words, base) for words in registry if len(words) >= 2), key=cycle_sort_key
     )

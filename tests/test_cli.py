@@ -303,7 +303,8 @@ def test_budget_env_invalid(capsys, monkeypatch):
 
 
 def test_budget_env_ignored_without_search(capsys, monkeypatch):
-    for argv in (("step", "-k", "2", "-w", "10"), ("orbit", "-k", "2", "-w", "10"), ("bound", "-k", "2")):
+    for argv in (("step", "-k", "2", "-w", "10"), ("orbit", "-k", "2", "-w", "10"), ("bound", "-k", "2"),
+                 ("fixed-points", "-k", "3", "--count")):
         monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
         unset = run(capsys, *argv, "--format", "json")
         monkeypatch.setenv(cli.BUDGET_ENV, "lots")

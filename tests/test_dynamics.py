@@ -10,6 +10,8 @@ from peadyn import (
     parse_word,
     step,
 )
+from peadyn.core import _step
+from peadyn.search import _resolve_terminal
 from reference import naive_orbit
 from test_core import bases_and_words
 
@@ -88,6 +90,22 @@ def test_orbit_transient_is_exact(kw):
         assert w not in r.cycle
         w = step(w, base)
     assert w == r.cycle[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(bases_and_words(max_base=8, max_len=40))
+def test_search_walker_agrees_with_orbit(kw):
+    # the memoized search walker sees the same states as orbit, and its step
+    # guard trips exactly one step short of the repeat
+    base, w = kw
+    r = orbit(w, base)
+    memo, registry = {}, []
+    _resolve_terminal(w, _step, base, memo, registry, r.steps_taken)
+    assert registry == [r.cycle]
+    assert len(memo) == r.steps_taken
+    if r.steps_taken >= 2:
+        with pytest.raises(OrbitLimitExceeded):
+            _resolve_terminal(w, _step, base, {}, [], r.steps_taken - 1)
 
 
 def test_orbit_start_recorded():
