@@ -209,8 +209,8 @@ OPTIONS = {
     "margin": (("--margin",), dict(type=_nonnegative_int, default=0, help="extra length over the cap")),
     "budget": (("--budget",), dict(type=_positive_int,
                                    help=f"most fixed point words to list (default {DEFAULT_WORD_BUDGET}) "
-                                        f"or cycle seeds to build, count multisets plus seed pairs "
-                                        f"(default {DEFAULT_BUDGET}); env {BUDGET_ENV}")),
+                                        f"or cycle seeds to build, count multisets plus family members "
+                                        f"(default {DEFAULT_BUDGET}, up to base 14); env {BUDGET_ENV}")),
     "count": (("--count",), dict(action="store_true",
                                  help="print how many fixed points there are, not the list; no budget")),
     "bases": (("--bases",), dict(type=_base_list, default=tuple(sorted(EXPECTED_FIXED_POINTS)),

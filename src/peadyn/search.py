@@ -38,18 +38,19 @@ The cores are walked as nondecreasing tuples, with two cuts:
   finite, even with no length limit: c - len(c) - 1 <= k caps every count
   at about k + 3, and at most k letters have a count >= 2.
 
-Cycle search works on tallies (letter-count vectors) rather than words: the
-step map reads a word only through its tally, so every cycle of words is a
-cycle of the induced map on tallies. Orbits are seeded from the tallies of
-image words only, because a cycle element is always the image of its
-predecessor in the cycle, and words are rendered only for the cycles found.
-Its block counts come from ``_count_multisets``, which yields each multiset of
-r counts once as a nondecreasing tuple, in the manner of the combination
-generators of TAOCP 4A 7.2.1.3; the numerals of each multiset are tallied
-into seeds. Every walk to a terminal cycle goes through one memoized walker,
-``_resolve_terminal``: over tallies in the cycle search, over words in a
-plain word-by-word classifier that doubles as the completeness oracle for
-small bases and applies no pruning at all.
+Cycle search walks the induced map on tallies (letter-count vectors), since
+the step map reads a word only through its tally, and seeds it with families
+of the same shape. A letter of a word is a block letter of its image, so the
+letter set only grows along an orbit and is constant on a cycle. A cycle word
+w is step(p) for its predecessor p, whose r counts have numerals with digit
+support F; those digits are letters of w, hence of p. So the tally of w is
+forced on F, as above, plus 1 on r - |F| more letters: a member of the family
+(forced, m1 = r - |F|). ``_count_multisets`` yields each multiset of r counts
+once, as a nondecreasing tuple in the manner of TAOCP 4A 7.2.1.3, and each
+with |F| <= r gives one family. Every walk goes through one memoized walker,
+``_resolve_terminal``: over tallies here, over words in a plain word-by-word
+classifier that doubles as the completeness oracle for small bases and
+applies no pruning at all.
 """
 
 from __future__ import annotations
@@ -62,10 +63,10 @@ from math import comb
 from .core import Description, Word, _numeral_digits, _spell, _step, _tally, check_base, describe, digit_length
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 
-# Cycle seeds, or words for the word-by-word classifier. At about 45 bytes a
-# seed pair, cycles run up to base 12 (5,747,126 seeds, 247 MB). Stepping about
-# 300,000 words a second (2-vCPU Xeon), the classifier refuses a sweep of over
-# about 30 s: base 2 runs up to length 22, not 23 (16,777,214 words).
+# Cycle seeds, or words for the word-by-word classifier. At about 210 bytes a
+# seed, cycles run up to base 14 (3,889,345 seeds, 800 MB, 33 s on a 2-vCPU
+# Xeon). Stepping about 300,000 words a second, the classifier refuses a sweep
+# of over about 30 s: base 2 runs up to length 22, not 23 (16,777,214 words).
 DEFAULT_BUDGET = 10**7
 # Listed fixed points are held in one set, about 290 bytes a word at k=22, so
 # the default lists every base up to 23 (524,541 words, about 150 MB) and
@@ -81,7 +82,7 @@ class BudgetExceeded(RuntimeError):
 
     The fixed point search counts the words it would list; the cycle search
     counts the tallies it builds, one per count multiset it walks and one per
-    (letter set, numeral tally) seed pair; the word-by-word classifier counts
+    member of the seed families they yield; the word-by-word classifier counts
     the words it would visit.
     """
 
@@ -222,13 +223,27 @@ def _fixed_point_families(base: int, length_limit: int | None) -> list[tuple[Tal
     return families
 
 
+def _family_size(forced: Tally, ones: int) -> int:
+    """How many members the family (forced, ones) has: one per choice of its free letters."""
+    return comb(forced.count(0), ones)
+
+
+def _family_members(forced: Tally, ones: int) -> Iterator[Tally]:
+    """Yield the tally of each member: ``forced`` plus count 1 on ``ones`` letters it leaves at 0."""
+    for chosen in combinations([b for b, c in enumerate(forced) if not c], ones):
+        tally = list(forced)
+        for b in chosen:
+            tally[b] = 1
+        yield tuple(tally)
+
+
 def count_fixed_points(base: int, length_limit: int | None = None) -> int:
     """How many nonempty words of length <= the limit describe themselves.
 
     Sums the family sizes without listing a word, so it takes no budget and
     reaches base 36, whose 4,294,967,926 fixed points no list could hold.
     """
-    return sum(comb(forced.count(0), ones) for forced, ones in _fixed_point_families(base, length_limit))
+    return sum(_family_size(*family) for family in _fixed_point_families(base, length_limit))
 
 
 def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget: int | None = None) -> set[Word]:
@@ -244,19 +259,10 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
     """
     families = _fixed_point_families(base, length_limit)
     allowed = DEFAULT_WORD_BUDGET if budget is None else budget
-    needed = sum(comb(forced.count(0), ones) for forced, ones in families)
+    needed = sum(_family_size(*family) for family in families)
     if needed > allowed:
         raise BudgetExceeded(f"fixed point search in base {base} needs {needed} words, budget is {allowed}")
-    words = set()
-    for forced, ones in families:
-        tally = list(forced)
-        for chosen in combinations([b for b in range(base) if not forced[b]], ones):
-            for b in chosen:
-                tally[b] = 1
-            words.add(_spell(tally, base))
-            for b in chosen:
-                tally[b] = 0
-    return words
+    return {_spell(tally, base) for family in families for tally in _family_members(*family)}
 
 
 def _digit_tally(counts: tuple[int, ...], base: int) -> list[int]:
@@ -347,26 +353,21 @@ def enumerate_cycles(
     max_steps: int = DEFAULT_MAX_STEPS,
     budget: int | None = None,
 ) -> set[CycleRecord]:
-    """Every cycle of period >= 2 reached from an image of a short word.
+    """Every cycle of period >= 2 whose words all have length <= the limit.
 
-    Guarantees that every cycle whose words all fit within the length limit
-    is found. The seeds are the images of all words of length <= limit, i.e.
-    the renders of every description whose counts sum to at most the limit; a
-    cycle word is the image of its predecessor in the cycle and that
-    predecessor obeys the same cap, so the search starts inside every such
-    cycle. Cycles reached from those seeds are reported too, even when their
-    words are longer than the limit, so a short custom limit can return more
-    than the cycles that fit under it.
+    Complete for the default length limit (the eventual orbit length cap),
+    like ``enumerate_fixed_points``: a cycle recurs forever, so its words fit
+    under the cap. Each cycle word is the image of its predecessor, a word
+    whose letters hold the digits of its own count numerals, so seeding the
+    images of such words of length <= limit starts inside every cycle that
+    fits (see the module docstring). Cycles with a longer word are dropped.
 
-    The walk runs on tallies, not words. A seed's tally is one per block
-    letter plus the digits of its count numerals, which depend only on the
-    multiset of counts, so many seeds share a tally. Each seed is resolved
-    as it is built, through one terminal cache keyed on tallies, so each
-    distinct tally is walked once. The budget caps the tallies built: one
-    numeral tally per count multiset, counted before the walk, and one seed
-    per (letter set, numeral tally) pair, counted before the seed loop. The
-    first count over the budget is named in the error, so a long limit or a
-    large base fails before any walk.
+    The seeds, one family per count multiset, are walked as tallies through
+    one terminal cache. The budget caps the tallies built: one digit tally
+    per count multiset, counted in closed form, plus the family members,
+    summed from the family sizes, all before the walk. The first count over
+    the budget is named in the error, so a long limit or a large base fails
+    at once: the default runs base 14 and refuses base 15.
     """
     check_base(base)
     limit = length_bound(base).length_bound if length_limit is None else length_limit
@@ -378,29 +379,28 @@ def enumerate_cycles(
     needed = limit + limit * limit // 4
     if needed <= allowed:
         needed = _multiset_total(top, limit)
-    numeral_tallies_by_r = []
+    families: set[tuple[Tally, int]] = set()
     for r in range(1, top + 1):
         if needed > allowed:
             break
-        numeral_tallies = {tuple(_digit_tally(counts, base)) for counts in _count_multisets(r, limit)}
-        numeral_tallies_by_r.append((r, numeral_tallies))
-        needed += comb(base, r) * len(numeral_tallies)
+        for counts in _count_multisets(r, limit):
+            digits = _digit_tally(counts, base)
+            family = (tuple(t + 1 if t else 0 for t in digits), r - base + digits.count(0))
+            if family[1] >= 0 and family not in families:
+                families.add(family)
+                needed += _family_size(*family)
     if needed > allowed:
         raise BudgetExceeded(f"cycle search in base {base} needs {needed} seeds, budget is {allowed}")
     memo: dict[Tally, int] = {}
     registry: list[tuple[Tally, ...]] = []
-    for r, numeral_tallies in numeral_tallies_by_r:
-        for letters in combinations(range(base), r):
-            for digits in numeral_tallies:
-                seed = list(digits)
-                for b in letters:
-                    seed[b] += 1
-                _resolve_terminal(tuple(seed), _tally_image, base, memo, registry, max_steps)
+    for family in families:
+        for seed in _family_members(*family):
+            _resolve_terminal(seed, _tally_image, base, memo, registry, max_steps)
     # the word after tally t is its spelling, so a tally cycle spells a word cycle
     return {
         canonical_cycle(tuple(_spell(t, base) for t in tallies), base)
         for tallies in registry
-        if len(tallies) >= 2
+        if len(tallies) >= 2 and all(sum(t) <= limit for t in tallies)
     }
 
 

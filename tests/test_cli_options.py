@@ -23,15 +23,16 @@ def test_fixed_points_length_limit_plus_margin(capsys):
 
 
 def test_cycles_length_limit(capsys):
-    code, out, _ = run(capsys, "cycles", "-k", "7", "--length-limit", "6", "--format", "json")
+    # 3 of base 7's 4 cycles have no word longer than 12
+    code, out, _ = run(capsys, "cycles", "-k", "7", "--length-limit", "12", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["length_limit"] == 6
+    assert payload["length_limit"] == 12
     expected = [
         {"period": rec.period, "words": [format_word(w) for w in rec.words]}
-        for rec in sorted(enumerate_cycles(7, 6), key=cycle_sort_key)
+        for rec in sorted(enumerate_cycles(7, 12), key=cycle_sort_key)
     ]
-    assert len(expected) == 4
+    assert len(expected) == 3
     assert payload["cycles"] == expected
 
 

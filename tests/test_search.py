@@ -81,9 +81,9 @@ def tally(word, base):
 
 
 def word_level_cycles(base, limit):
-    """Terminal cycles of every image word, found by stepping words one by one
-    until one repeats: no tallies and no shared cache. Each cycle is rotated
-    to start at its smallest word."""
+    """Terminal cycles of every image word whose words all have length <= limit,
+    found by stepping words one by one until one repeats: no tallies and no
+    shared cache. Each cycle is rotated to start at its smallest word."""
     found = set()
     for seed in all_image_words(base, limit):
         seen = {}
@@ -92,7 +92,7 @@ def word_level_cycles(base, limit):
             seen[word] = len(seen)
             word = step(word, base)
         cycle = list(seen)[seen[word]:]
-        if len(cycle) >= 2:
+        if len(cycle) >= 2 and all(len(word) <= limit for word in cycle):
             pivot = cycle.index(min(cycle))
             found.add(tuple(cycle[pivot:] + cycle[:pivot]))
     return found
@@ -183,7 +183,7 @@ def test_base6_cycle():
     assert record.closes_under_step()
 
 
-@pytest.mark.parametrize("base", [7, 8])
+@pytest.mark.parametrize("base", [7, 8, 9, 10])
 def test_cycles_match_frozen_records(base):
     expected = [
         CycleRecord(base, len(texts), tuple(parse_word(t, base) for t in texts))
@@ -195,7 +195,7 @@ def test_cycles_match_frozen_records(base):
 
 @pytest.mark.parametrize(
     "base,limit",
-    [(2, None), (3, None), (4, None), (5, None), (3, 4), (6, 5), (6, 10), (7, 6)],
+    [(2, None), (3, None), (4, None), (5, None), (3, 4), (6, 5), (6, 10), (7, 6), (7, 12), (8, 12), (8, 14)],
 )
 def test_cycles_match_word_level_reference(base, limit):
     limit = length_bound(base).length_bound if limit is None else limit
@@ -267,15 +267,22 @@ def test_cycle_search_budget_guard():
 
 
 def test_cycle_budget_counts_seed_pairs():
-    # the budget counts one numeral tally per count multiset walked plus the
-    # (letter set, numeral tally) seed pairs, before the walk: 497 + 4,361 in
-    # base 6 and 8,033 + 1,830,630 in base 11
-    assert len(enumerate_cycles(6, budget=4858)) == 1
-    with pytest.raises(BudgetExceeded, match="base 6 needs 4858 seeds, budget is 4857"):
-        enumerate_cycles(6, budget=4857)
-    with pytest.raises(BudgetExceeded, match="base 11 needs 1838663 seeds, budget is 1838662"):
-        enumerate_cycles(11, budget=1838662)
-    assert 1838663 <= DEFAULT_BUDGET < 17672988
+    # the budget counts one digit tally per count multiset walked plus the
+    # members of the seed families, before the walk: 497 + 1,082 in base 6,
+    # 8,033 + 195,920 in base 11 and 32,101 + 3,857,244 in base 14
+    assert len(enumerate_cycles(6, budget=1579)) == 1
+    with pytest.raises(BudgetExceeded, match="base 6 needs 1579 seeds, budget is 1578"):
+        enumerate_cycles(6, budget=1578)
+    with pytest.raises(BudgetExceeded, match="base 11 needs 203953 seeds, budget is 203952"):
+        enumerate_cycles(11, budget=203952)
+    with pytest.raises(BudgetExceeded, match="base 14 needs 3889345 seeds, budget is 3889344"):
+        enumerate_cycles(14, budget=3889344)
+    assert 3889345 <= DEFAULT_BUDGET
+    # base 15 is refused at the first count over the budget, before a walk
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="base 15 needs 10133598 seeds, budget is 10000000"):
+        enumerate_cycles(15)
+    assert time.perf_counter() - start < 5
     # the count multisets grow like limit**r while their numeral tallies stay
     # few, so they are counted in closed form, not walked, and refused at once
     start = time.perf_counter()
@@ -306,10 +313,13 @@ def test_fixed_points_tiny_limit_is_empty():
 
 
 def test_classify_with_margin_is_stable():
-    # pushing the length limit past the proven cap must not admit new finds
-    for base in (2, 3, 4):
+    # pushing the length limit past the proven cap must not admit new finds;
+    # only such a run can show a cycle longer than the cap, as the output
+    # under any limit holds only the cycles that fit
+    for base in range(2, 9):
         bound = length_bound(base).length_bound
-        assert enumerate_fixed_points(base, bound + 4) == enumerate_fixed_points(base)
+        if base <= 4:
+            assert enumerate_fixed_points(base, bound + 4) == enumerate_fixed_points(base)
         assert enumerate_cycles(base, bound + 4) == enumerate_cycles(base)
 
 
