@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .core import Word, format_word, parse_word, step
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound, orbit
 from .golden import EXPECTED_FIXED_POINTS
-from .search import (DEFAULT_BUDGET, DEFAULT_WORD_BUDGET, BudgetExceeded, count_fixed_points,
+from .search import (DEFAULT_WORD_BUDGET, BudgetExceeded, count_fixed_points,
                      cycle_sort_key, enumerate_cycles, enumerate_fixed_points, word_sort_key)
 
 EXIT_OK = 0
@@ -208,9 +208,8 @@ OPTIONS = {
     "length_limit": (("--length-limit",), dict(type=_positive_int, help="length cap (default: the bound)")),
     "margin": (("--margin",), dict(type=_nonnegative_int, default=0, help="extra length over the cap")),
     "budget": (("--budget",), dict(type=_positive_int,
-                                   help=f"most fixed point words to list (default {DEFAULT_WORD_BUDGET}) "
-                                        f"or cycle seeds to build, count multisets plus family members "
-                                        f"(default {DEFAULT_BUDGET}, up to base 14); env {BUDGET_ENV}")),
+                                   help=f"most states a search holds: fixed point words, or count multisets "
+                                        f"plus cycle words (default {DEFAULT_WORD_BUDGET}); env {BUDGET_ENV}")),
     "count": (("--count",), dict(action="store_true",
                                  help="print how many fixed points there are, not the list; no budget")),
     "bases": (("--bases",), dict(type=_base_list, default=tuple(sorted(EXPECTED_FIXED_POINTS)),

@@ -1,56 +1,51 @@
-"""Exhaustive fixed point and cycle enumeration.
+"""Exhaustive fixed point and cycle enumeration on count multisets.
 
-Fixed points are counted and listed as families. Under the default length
-limit, about 2k + 2, every count numeral has one or two digits. Split the
-letters of a fixed point w by their count:
+The step map reads a word w only through its tally. Let w have r letters
+present, with the multiset M of their counts, whose base-k numerals have
+digit support F. step(w) holds each of the r letters once as a block letter
+plus the digits of the numerals, so if the letters of w hold F, the sorted
+counts of step(w) are
 
-- the core is the multiset of counts >= 2;
-- m1 is the number of letters of count 1.
+    h(M) = (1,) * (r - |F|) + sorted(digit tally + 1 over F),
 
-w renders its own description, so its length is both the sum of its counts c
-and the sum of len(c) + 1 over its blocks, where len(c) is the number of
-digits of c. A count-1 block adds 1 - 1 - 1 = -1 to sum(c - len(c) - 1), so
+which depend on M alone. That is ``_count_image``; if |F| > r no such w
+exists, and h sends M to the sink (), which maps to itself. A letter of a
+word is a block letter of its image, so the letter set is constant on a
+cycle, and the image holds the digits of the word's numerals: every fixed
+point and cycle word holds its own digits, so its counts follow h.
+
+Let an h-cycle M_0 -> M_1 -> ... -> M_0 have digit supports F_i with union
+U. A word cycle over it has one letter set S, which holds every F_i and so
+U, and S fixes the tally after M_i: digit tally + 1 on U, 1 on the r - |U|
+letters of S outside U. Conversely every r-letter S that holds U gives
+tallies that step into each other, as a tally steps by its counts and its
+letters alone, and h(M_i) = M_i+1. So the word cycles over an h-cycle are
+exactly the C(k - |U|, r - |U|) choices of r - |U| letters outside U, none
+when |U| > r: a family of forced tallies plus r - |U| interchangeable free
+letters of count 1. Counting needs the families only; listing expands them
+after the budget check, so a search over its budget spells no word. Cycle
+search walks each count multiset of r <= k counts and sum <= the limit once
+under h, through ``_resolve_terminal``, which also walks words for the
+unpruned word-by-word classifier.
+
+Fixed points are the multisets with h(M) = M. Split M into its core, the
+counts >= 2, and m1 counts of 1. A fixed point renders its own description,
+so its length is both sum(c) and sum(len(c) + 1) over its blocks, len(c) the
+number of digits of c; a count-1 block adds -1 to sum(c - len(c) - 1), so
 the count identity forces
 
-    m1 = sum(c - len(c) - 1) over the core.
+    m1 = sum(c - len(c) - 1) over the core,
 
-The numerals of w are the core's numerals plus m1 copies of "1", so their
-digit tally is known from the core alone. A letter of count >= 2 occurs once
-as a block letter and the rest of the times as a digit, so the letters of
-count >= 2 are exactly the forced letters F, the support of that tally, each
-with count tally + 1. A core is accepted when these forced counts, sorted,
-are the core itself, m1 >= 0 and |F| + m1 <= k. The count-1 letters are any
-m1 letters outside F: none of them occurs as a digit, so they are
-interchangeable, and the core yields exactly C(k - |F|, m1) fixed points, one
-per choice. Conversely every such choice spells a fixed point, because its
-image has the same tally. Counting needs the families only; listing expands
-them after the budget check, so a search that is over budget fails before it
-renders a word.
-
-The cores are walked as nondecreasing tuples, with two cuts:
+and each core gives one candidate (1,) * m1 + core. The cores are walked as
+nondecreasing tuples, with two cuts:
 
 - Each count c adds 2c - len(c) - 1 >= 1 to the word length sum(core) + m1,
   so the walk stops at the length limit.
-- The core size is |F| <= k, so no core grows past k counts. Outside base
-  2, where count 2 is spelled "10" and lowers m1 by 1, every count adds
-  c - len(c) - 1 >= 0 to m1, so once the core size plus m1 passes k no
-  longer core comes back under it. This bound alone keeps the enumeration
-  finite, even with no length limit: c - len(c) - 1 <= k caps every count
-  at about k + 3, and at most k letters have a count >= 2.
-
-Cycle search walks the induced map on tallies (letter-count vectors), since
-the step map reads a word only through its tally, and seeds it with families
-of the same shape. A letter of a word is a block letter of its image, so the
-letter set only grows along an orbit and is constant on a cycle. A cycle word
-w is step(p) for its predecessor p, whose r counts have numerals with digit
-support F; those digits are letters of w, hence of p. So the tally of w is
-forced on F, as above, plus 1 on r - |F| more letters: a member of the family
-(forced, m1 = r - |F|). ``_count_multisets`` yields each multiset of r counts
-once, as a nondecreasing tuple in the manner of TAOCP 4A 7.2.1.3, and each
-with |F| <= r gives one family. Every walk goes through one memoized walker,
-``_resolve_terminal``: over tallies here, over words in a plain word-by-word
-classifier that doubles as the completeness oracle for small bases and
-applies no pruning at all.
+- The core size is |F| <= k. Outside base 2, where count 2 is spelled "10"
+  and lowers m1 by 1, every count adds c - len(c) - 1 >= 0 to m1, so once
+  the core size plus m1 passes k no longer core comes back under it. This
+  alone keeps the walk finite with no length limit: c - len(c) - 1 <= k caps
+  every count at about k + 3.
 """
 
 from __future__ import annotations
@@ -63,27 +58,24 @@ from math import comb
 from .core import Description, Word, _numeral_digits, _spell, _step, _tally, check_base, describe, digit_length
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 
-# Cycle seeds, or words for the word-by-word classifier. At about 210 bytes a
-# seed, cycles run up to base 14 (3,889,345 seeds, 800 MB, 33 s on a 2-vCPU
-# Xeon). Stepping about 300,000 words a second, the classifier refuses a sweep
-# of over about 30 s: base 2 runs up to length 22, not 23 (16,777,214 words).
+# Words for the word-by-word classifier, which steps about 300,000 a second:
+# base 2 runs up to length 22 (16,777,214 words, about 30 s), not 23.
 DEFAULT_BUDGET = 10**7
-# Listed fixed points are held in one set, about 290 bytes a word at k=22, so
-# the default lists every base up to 23 (524,541 words, about 150 MB) and
-# refuses base 24 and above before it renders a word.
+# States the searches hold: fixed points listed, or count multisets plus cycle
+# words listed. It lists fixed points up to base 23 and cycles up to base 21
+# (about 150 MB each).
 DEFAULT_WORD_BUDGET = 10**6
 
 Tally = tuple[int, ...]  # letter counts indexed by letter, length base
-State = tuple[int, ...]  # a word or a tally, whichever _resolve_terminal walks
+State = tuple[int, ...]  # a word or a count multiset, whichever _resolve_terminal walks
 
 
 class BudgetExceeded(RuntimeError):
     """The requested search is larger than its budget.
 
     The fixed point search counts the words it would list; the cycle search
-    counts the tallies it builds, one per count multiset it walks and one per
-    member of the seed families they yield; the word-by-word classifier counts
-    the words it would visit.
+    counts the count multisets it walks plus the words it would list; the
+    word-by-word classifier counts the words it would visit.
     """
 
 
@@ -200,41 +192,48 @@ def _fixed_point_cores(
         yield from _fixed_point_cores(base, limit, c, grown, length + c, ones + extra)
 
 
-def _fixed_point_families(base: int, length_limit: int | None) -> list[tuple[Tally, int]]:
-    """Every family of fixed points of length <= the limit, default the eventual cap.
-
-    A family is a pair: the tally of its forced letters, 0 on every other
-    letter, and m1, how many of those other letters each member adds once.
-    """
+def _fixed_point_families(base: int, length_limit: int | None) -> list[tuple[tuple[Tally, ...], int]]:
+    """Every family of fixed points of length <= the limit, default the eventual cap."""
     check_base(base)
     limit = length_bound(base).length_bound if length_limit is None else length_limit
     if limit < 1:
         raise ValueError(f"length limit must be positive, got {limit}")
     families = []
     for core, ones in _fixed_point_cores(base, limit):
-        # the walk already keeps len(core) + m1 <= k wherever m1 >= 0
-        if ones < 0:
-            continue
-        tally = _digit_tally(core, base)
-        tally[1] += ones
-        forced = tuple(t + 1 if t else 0 for t in tally)
-        if sorted(c for c in forced if c) == list(core):
-            families.append((forced, ones))
+        if ones >= 0:
+            counts = (1,) * ones + core
+            if _count_image(counts, base) == counts:
+                families.append(_family((counts,), base))
     return families
 
 
-def _family_size(forced: Tally, ones: int) -> int:
+def _family(cycle: tuple[tuple[int, ...], ...], base: int) -> tuple[tuple[Tally, ...], int]:
+    """(forced, ones) for a cycle of count multisets under ``_count_image``.
+
+    ``forced`` is the tally after each multiset, digits + 1 on the cycle-wide
+    digit support U and 0 elsewhere; ``ones`` = r - |U| free letters of count 1.
+    """
+    tallies = [_digit_tally(counts, base) for counts in cycle]
+    support = [b for b, column in enumerate(zip(*tallies)) if any(column)]
+    for tally in tallies:
+        for b in support:
+            tally[b] += 1
+    return tuple(map(tuple, tallies)), len(cycle[0]) - len(support)
+
+
+def _family_size(forced: tuple[Tally, ...], ones: int) -> int:
     """How many members the family (forced, ones) has: one per choice of its free letters."""
-    return comb(forced.count(0), ones)
+    return comb(forced[0].count(0), ones) if ones >= 0 else 0
 
 
-def _family_members(forced: Tally, ones: int) -> Iterator[Tally]:
-    """Yield the tally of each member: ``forced`` plus count 1 on ``ones`` letters it leaves at 0."""
-    for chosen in combinations([b for b, c in enumerate(forced) if not c], ones):
-        tally = list(forced)
-        for b in chosen:
-            tally[b] = 1
-        yield tuple(tally)
+def _family_members(forced: tuple[Tally, ...], ones: int) -> Iterator[list[list[int]]]:
+    """Yield the tallies of each member: ``forced`` plus count 1 on ``ones`` letters it leaves at 0."""
+    for chosen in combinations([b for b, c in enumerate(forced[0]) if not c], ones):
+        member = list(map(list, forced))
+        for tally in member:
+            for b in chosen:
+                tally[b] = 1
+        yield member
 
 
 def count_fixed_points(base: int, length_limit: int | None = None) -> int:
@@ -262,7 +261,7 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
     needed = sum(_family_size(*family) for family in families)
     if needed > allowed:
         raise BudgetExceeded(f"fixed point search in base {base} needs {needed} words, budget is {allowed}")
-    return {_spell(tally, base) for family in families for tally in _family_members(*family)}
+    return {_spell(member[0], base) for family in families for member in _family_members(*family)}
 
 
 def _digit_tally(counts: tuple[int, ...], base: int) -> list[int]:
@@ -270,9 +269,20 @@ def _digit_tally(counts: tuple[int, ...], base: int) -> list[int]:
     return _tally([d for c in counts for d in _numeral_digits(c, base)], base)
 
 
-def _tally_image(tally: Tally, base: int) -> Tally:
-    """The tally of step(w) for every word w whose tally is ``tally``."""
-    return tuple(_tally(_spell(tally, base), base))
+def _count_image(counts: tuple[int, ...], base: int) -> tuple[int, ...]:
+    """h, the sorted counts of step(w) for a word w with these counts that holds its digits."""
+    tally = [0] * base
+    for c in counts:
+        if c < base:  # a one-digit numeral, the common case
+            tally[c] += 1
+        else:
+            for d in _numeral_digits(c, base):
+                tally[d] += 1
+    forced = [t + 1 for t in tally if t]
+    ones = len(counts) - len(forced)
+    if ones < 0:
+        return ()
+    return (1,) * ones + tuple(sorted(forced))
 
 
 def _count_multisets(
@@ -318,7 +328,7 @@ def _resolve_terminal(
 ) -> int:
     """Cycle id of the orbit terminal from ``start`` under ``image``, caching every state seen.
 
-    States are words under ``_step`` or tallies under ``_tally_image``. A new
+    States are words under ``_step`` or count multisets under ``_count_image``. A new
     cycle is appended to ``registry`` as its states in orbit order; a cycle
     already in the registry is always hit through ``memo`` first, so no
     duplicates arise.
@@ -355,52 +365,43 @@ def enumerate_cycles(
 ) -> set[CycleRecord]:
     """Every cycle of period >= 2 whose words all have length <= the limit.
 
-    Complete for the default length limit (the eventual orbit length cap),
-    like ``enumerate_fixed_points``: a cycle recurs forever, so its words fit
-    under the cap. Each cycle word is the image of its predecessor, a word
-    whose letters hold the digits of its own count numerals, so seeding the
-    images of such words of length <= limit starts inside every cycle that
-    fits (see the module docstring). Cycles with a longer word are dropped.
-
-    The seeds, one family per count multiset, are walked as tallies through
-    one terminal cache. The budget caps the tallies built: one digit tally
-    per count multiset, counted in closed form, plus the family members,
-    summed from the family sizes, all before the walk. The first count over
-    the budget is named in the error, so a long limit or a large base fails
-    at once: the default runs base 14 and refuses base 15.
+    Complete for the default length limit (the eventual orbit length cap).
+    Each cycle of period >= 2 of ``_count_image`` that fits is expanded into
+    its family of word cycles (see the module docstring). The budget caps
+    the states held, default ``DEFAULT_WORD_BUDGET``: the count multisets,
+    counted in closed form before the walk, plus the words listed, summed
+    from the family sizes before any is spelled.
     """
     check_base(base)
     limit = length_bound(base).length_bound if length_limit is None else length_limit
     if limit < 2:
         raise ValueError(f"cycle search needs a length limit of at least 2, got {limit}")
-    allowed = DEFAULT_BUDGET if budget is None else budget
+    allowed = DEFAULT_WORD_BUDGET if budget is None else budget
     top = min(base, limit)
     # the multisets of one and two counts, so a long limit allocates no list
     needed = limit + limit * limit // 4
     if needed <= allowed:
         needed = _multiset_total(top, limit)
-    families: set[tuple[Tally, int]] = set()
-    for r in range(1, top + 1):
-        if needed > allowed:
-            break
-        for counts in _count_multisets(r, limit):
-            digits = _digit_tally(counts, base)
-            family = (tuple(t + 1 if t else 0 for t in digits), r - base + digits.count(0))
-            if family[1] >= 0 and family not in families:
-                families.add(family)
-                needed += _family_size(*family)
+    families: list[tuple[tuple[Tally, ...], int]] = []
+    if needed <= allowed:
+        memo: dict[State, int] = {}
+        registry: list[tuple[State, ...]] = []
+        for r in range(1, top + 1):
+            for counts in _count_multisets(r, limit):
+                _resolve_terminal(counts, _count_image, base, memo, registry, max_steps)
+        families = [
+            _family(cycle, base)
+            for cycle in registry
+            if len(cycle) >= 2 and all(sum(counts) <= limit for counts in cycle)
+        ]
+        needed += sum(len(forced) * _family_size(forced, ones) for forced, ones in families)
     if needed > allowed:
-        raise BudgetExceeded(f"cycle search in base {base} needs {needed} seeds, budget is {allowed}")
-    memo: dict[Tally, int] = {}
-    registry: list[tuple[Tally, ...]] = []
-    for family in families:
-        for seed in _family_members(*family):
-            _resolve_terminal(seed, _tally_image, base, memo, registry, max_steps)
-    # the word after tally t is its spelling, so a tally cycle spells a word cycle
+        raise BudgetExceeded(f"cycle search in base {base} needs {needed} states, budget is {allowed}")
     return {
-        canonical_cycle(tuple(_spell(t, base) for t in tallies), base)
-        for tallies in registry
-        if len(tallies) >= 2 and all(sum(t) <= limit for t in tallies)
+        canonical_cycle(tuple(_spell(t, base) for t in member), base)
+        for family in families
+        if _family_size(*family)
+        for member in _family_members(*family)
     }
 
 

@@ -330,15 +330,15 @@ def test_output_to_missing_directory_is_invalid_input(capsys, tmp_path):
 
 
 def test_cycles_budget_exit_code(capsys):
-    code, _, err = run(capsys, "cycles", "-k", "6", "--budget", "1000")
+    code, _, err = run(capsys, "cycles", "-k", "6", "--budget", "498")
     assert code == 4
-    assert "seeds" in err
+    assert "states" in err
 
 
 def test_cycles_long_limit_refused_before_walking(capsys):
     code, _, err = run(capsys, "cycles", "-k", "2", "--length-limit", "1000000")
     assert code == 4
-    assert err == "error: cycle search in base 2 needs 250001000000 seeds, budget is 10000000\n"
+    assert err == "error: cycle search in base 2 needs 250001000000 states, budget is 1000000\n"
 
 
 def test_invalid_format_rejected(capsys):

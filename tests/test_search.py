@@ -1,5 +1,6 @@
 import gc
 import time
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -28,7 +29,7 @@ from peadyn import (
     word_sort_key,
 )
 from peadyn.golden import EXPECTED_FIXED_POINTS
-from peadyn.search import DEFAULT_BUDGET, DEFAULT_WORD_BUDGET, _count_multisets, _multiset_total, _tally_image
+from peadyn.search import DEFAULT_WORD_BUDGET, _count_image, _count_multisets, _multiset_total
 from expected_cycles import EXPECTED_CYCLES
 from reference import description_space_fixed_points, tally_oracle, verify_base2_convergence
 
@@ -82,19 +83,27 @@ def tally(word, base):
 
 def word_level_cycles(base, limit):
     """Terminal cycles of every image word whose words all have length <= limit,
-    found by stepping words one by one until one repeats: no tallies and no
-    shared cache. Each cycle is rotated to start at its smallest word."""
+    found by stepping words one by one until one repeats or reaches a word an
+    earlier walk resolved: no tallies. Each cycle is rotated to start at its
+    smallest word."""
+    terminal = {}  # every word walked so far -> the cycle its orbit ends in
     found = set()
     for seed in all_image_words(base, limit):
         seen = {}
         word = seed
-        while word not in seen:
+        while word not in seen and word not in terminal:
             seen[word] = len(seen)
             word = step(word, base)
-        cycle = list(seen)[seen[word]:]
-        if len(cycle) >= 2 and all(len(word) <= limit for word in cycle):
+        if word in terminal:
+            cycle = terminal[word]
+        else:
+            cycle = list(seen)[seen[word]:]
             pivot = cycle.index(min(cycle))
-            found.add(tuple(cycle[pivot:] + cycle[:pivot]))
+            cycle = tuple(cycle[pivot:] + cycle[:pivot])
+        for walked in seen:
+            terminal[walked] = cycle
+        if len(cycle) >= 2 and all(len(word) <= limit for word in cycle):
+            found.add(cycle)
     return found
 
 
@@ -203,16 +212,27 @@ def test_cycles_match_word_level_reference(base, limit):
     assert {record.words for record in found} == word_level_cycles(base, limit)
 
 
+def sorted_counts(word, base):
+    return tuple(sorted(c for c in tally(word, base) if c))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(2, 36).flatmap(
-        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=80))
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k - 1), max_size=80))
     )
 )
-def test_tally_image_commutes_with_step(case):
+def test_count_image_commutes_with_step(case):
+    # a word that holds every letter of its base holds the digits of its numerals
     base, letters = case
-    word = tuple(letters)
-    assert tally(step(word, base), base) == _tally_image(tally(word, base), base)
+    word = tuple(range(base)) + tuple(letters)
+    assert sorted_counts(step(word, base), base) == _count_image(sorted_counts(word, base), base)
+
+
+def test_count_image_sink():
+    # one letter twice in base 2 is spelled "10" plus the letter: two digits for one letter
+    assert _count_image((2,), 2) == ()
+    assert _count_image((), 2) == ()
 
 
 def test_cycle_record_validation():
@@ -263,33 +283,34 @@ def test_fixed_point_search_budget_guard():
 
 def test_cycle_search_budget_guard():
     with pytest.raises(BudgetExceeded):
-        enumerate_cycles(6, budget=1000)
+        enumerate_cycles(6, budget=498)
 
 
 def test_cycle_budget_counts_seed_pairs():
-    # the budget counts one digit tally per count multiset walked plus the
-    # members of the seed families, before the walk: 497 + 1,082 in base 6,
-    # 8,033 + 195,920 in base 11 and 32,101 + 3,857,244 in base 14
-    assert len(enumerate_cycles(6, budget=1579)) == 1
-    with pytest.raises(BudgetExceeded, match="base 6 needs 1579 seeds, budget is 1578"):
-        enumerate_cycles(6, budget=1578)
-    with pytest.raises(BudgetExceeded, match="base 11 needs 203953 seeds, budget is 203952"):
-        enumerate_cycles(11, budget=203952)
-    with pytest.raises(BudgetExceeded, match="base 14 needs 3889345 seeds, budget is 3889344"):
-        enumerate_cycles(14, budget=3889344)
-    assert 3889345 <= DEFAULT_BUDGET
-    # base 15 is refused at the first count over the budget, before a walk
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="base 15 needs 10133598 seeds, budget is 10000000"):
-        enumerate_cycles(15)
-    assert time.perf_counter() - start < 5
+    # the budget counts the count multisets walked, in closed form before the
+    # walk, plus the cycle words listed: 497 + 2 in base 6 and 8,033 + 171
+    # (63 cycles of period 2 and 15 of period 3) in base 11
+    assert len(enumerate_cycles(6, budget=499)) == 1
+    with pytest.raises(BudgetExceeded, match="base 6 needs 499 states, budget is 498"):
+        enumerate_cycles(6, budget=498)
+    assert len(enumerate_cycles(11, budget=8204)) == 78
+    with pytest.raises(BudgetExceeded, match="base 11 needs 8204 states, budget is 8203"):
+        enumerate_cycles(11, budget=8203)
     # the count multisets grow like limit**r while their numeral tallies stay
     # few, so they are counted in closed form, not walked, and refused at once
     start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=f"base 36 needs 60752045 states, budget is {DEFAULT_WORD_BUDGET}"):
+        enumerate_cycles(36)
     for base, limit in ((2, 10**6), (2, 10**12), (3, 3008), (10, 100)):
         with pytest.raises(BudgetExceeded):
             enumerate_cycles(base, limit)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("base, twos, threes", [(11, 63, 15), (12, 127, 21), (13, 255, 28), (14, 511, 36)])
+def test_cycle_periods_match_frozen_search(base, twos, threes):
+    # cycles of period 2 and 3 the family-seeded tally search found before the count map
+    assert Counter(record.period for record in enumerate_cycles(base)) == {2: twos, 3: threes}
 
 
 def test_multiset_total_matches_the_walk():
