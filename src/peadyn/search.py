@@ -23,10 +23,18 @@ letters alone, and h(M_i) = M_i+1. So the word cycles over an h-cycle are
 exactly the C(k - |U|, r - |U|) choices of r - |U| letters outside U, none
 when |U| > r: a family of forced tallies plus r - |U| interchangeable free
 letters of count 1. Counting needs the families only; listing expands them
-after the budget check, so a search over its budget spells no word. Cycle
-search walks each count multiset of r <= k counts and sum <= the limit once
-under h, through ``_resolve_terminal``, which also walks words for the
-unpruned word-by-word classifier.
+after the budget check, so a search over its budget spells no word.
+
+Cycle search walks few states, by two facts. Fact 1: h keeps r, the number
+of counts, unless it sends M to the sink, so the walk takes one r at a time
+and drops each slice's memo. Fact 2: every state of an h-cycle is an image,
+(1,) * (r - |core|) + core with core counts >= 2 whose excess D = sum(c - 1)
+is the number of digits of the previous state's r numerals. With dg the
+digits of the length limit L (2 from base 4 up under the cap, 3 at base 3,
+4 at base 2), r <= D <= dg * r and r + D <= L. So a slice walks one state
+per partition of each such D into at most r parts, counted in closed form
+before the walk, through ``_resolve_terminal``, which also walks words for
+the unpruned word-by-word classifier.
 
 Fixed points are the multisets with h(M) = M. Split M into its core, the
 counts >= 2, and m1 counts of 1. A fixed point renders its own description,
@@ -61,9 +69,9 @@ from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 # Words for the word-by-word classifier, which steps about 300,000 a second:
 # base 2 runs up to length 22 (16,777,214 words, about 30 s), not 23.
 DEFAULT_BUDGET = 10**7
-# States the searches hold: fixed points listed, or count multisets plus cycle
-# words listed. It lists fixed points up to base 23 and cycles up to base 21
-# (about 150 MB each).
+# States the searches hold: fixed points listed, or count multisets walked plus
+# cycle words listed. It lists fixed points and cycles up to base 23 (about
+# 150 MB and 210 MB).
 DEFAULT_WORD_BUDGET = 10**6
 
 Tally = tuple[int, ...]  # letter counts indexed by letter, length base
@@ -285,37 +293,20 @@ def _count_image(counts: tuple[int, ...], base: int) -> tuple[int, ...]:
     return (1,) * ones + tuple(sorted(forced))
 
 
-def _count_multisets(
-    r: int, limit: int, low: int = 1, prefix: tuple[int, ...] = ()
+def _image_states(
+    r: int, most: int, least: int = 0, low: int = 2, core: tuple[int, ...] = ()
 ) -> Iterator[tuple[int, ...]]:
-    """Yield every nondecreasing r-tuple of integers >= low with sum <= limit.
+    """Yield (1,) * (r - |core|) + core for each extension of ``core`` whose excess is in least..most.
 
-    Each multiset of block counts appears once, as its sorted tuple, in
-    lexicographic order: the next count runs over low..limit // r and the
-    rest recurse on what is left, never below the count before them, with
-    the counts chosen so far in ``prefix``.
+    The extension appends nondecreasing counts >= low, up to r counts in all,
+    with ``least``/``most`` bounding the excess still to add, so each
+    partition of an excess into at most r parts, each part c - 1, comes once.
     """
-    if r == 0:
-        yield prefix
-        return
-    for c in range(low, limit // r + 1):
-        yield from _count_multisets(r - 1, limit - c, c, prefix + (c,))
-
-
-def _multiset_total(top: int, limit: int) -> int:
-    """How many tuples ``_count_multisets(r, limit)`` yields over r = 1..top.
-
-    ``parts[n]`` counts the partitions of n into exactly r parts, as
-    p(n, r) = p(n - 1, r - 1) + p(n - r, r): some part is 1 or none is.
-    """
-    parts = [1] + [0] * limit
-    total = 0
-    for r in range(1, top + 1):
-        parts = [0] + parts[:-1]
-        for n in range(r, limit + 1):
-            parts[n] += parts[n - r]
-        total += sum(parts)
-    return total
+    if least <= 0:
+        yield (1,) * (r - len(core)) + core
+    if len(core) < r:
+        for c in range(low, most + 2):
+            yield from _image_states(r, most - c + 1, least - c + 1, c, core + (c,))
 
 
 def _resolve_terminal(
@@ -367,10 +358,11 @@ def enumerate_cycles(
 
     Complete for the default length limit (the eventual orbit length cap).
     Each cycle of period >= 2 of ``_count_image`` that fits is expanded into
-    its family of word cycles (see the module docstring). The budget caps
-    the states held, default ``DEFAULT_WORD_BUDGET``: the count multisets,
-    counted in closed form before the walk, plus the words listed, summed
-    from the family sizes before any is spelled.
+    its family of word cycles; the walk, one r at a time over the images of
+    h alone, is in the module docstring. The budget caps the states held,
+    default ``DEFAULT_WORD_BUDGET``: the states walked, counted in closed
+    form before the walk, plus the words listed, summed from the family
+    sizes before any is spelled.
     """
     check_base(base)
     limit = length_bound(base).length_bound if length_limit is None else length_limit
@@ -378,22 +370,28 @@ def enumerate_cycles(
         raise ValueError(f"cycle search needs a length limit of at least 2, got {limit}")
     allowed = DEFAULT_WORD_BUDGET if budget is None else budget
     top = min(base, limit)
-    # the multisets of one and two counts, so a long limit allocates no list
-    needed = limit + limit * limit // 4
-    if needed <= allowed:
-        needed = _multiset_total(top, limit)
+    digits = digit_length(limit, base)
+    most = [min(limit - r, digits * r) for r in range(top + 1)]  # the largest excess D per r
+    # parts[n] counts the partitions of n into at most r parts, as p(n, <= r) =
+    # p(n, <= r - 1) + p(n - r, <= r): fewer than r parts, or r that each lose 1
+    parts = [1] + [0] * max(most)
+    needed = 0
+    for r in range(1, top + 1):
+        for n in range(r, len(parts)):
+            parts[n] += parts[n - r]
+        needed += sum(parts[r : most[r] + 1])
     families: list[tuple[tuple[Tally, ...], int]] = []
     if needed <= allowed:
-        memo: dict[State, int] = {}
-        registry: list[tuple[State, ...]] = []
         for r in range(1, top + 1):
-            for counts in _count_multisets(r, limit):
+            memo: dict[State, int] = {}
+            registry: list[tuple[State, ...]] = []
+            for counts in _image_states(r, most[r], r):
                 _resolve_terminal(counts, _count_image, base, memo, registry, max_steps)
-        families = [
-            _family(cycle, base)
-            for cycle in registry
-            if len(cycle) >= 2 and all(sum(counts) <= limit for counts in cycle)
-        ]
+            families += [
+                _family(cycle, base)
+                for cycle in registry
+                if len(cycle) >= 2 and all(sum(counts) <= limit for counts in cycle)
+            ]
         needed += sum(len(forced) * _family_size(forced, ones) for forced, ones in families)
     if needed > allowed:
         raise BudgetExceeded(f"cycle search in base {base} needs {needed} states, budget is {allowed}")

@@ -15,7 +15,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from peadyn.core import Block, Description, _step, digit_length, render
 from peadyn.dynamics import DEFAULT_MAX_STEPS
-from peadyn.search import _count_multisets, _digit_tally, _resolve_terminal
+from peadyn.search import _digit_tally, _resolve_terminal
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -56,14 +56,24 @@ def description_space_fixed_points(base, limit):
     A candidate is a multiset of r block counts that passes the count
     identity, paired with a set of r letters; the digit tally of the count
     numerals forces each letter's count, and the candidate is kept when those
-    counts are the multiset.
+    counts are the multiset. The multisets come as their counts of 2 or more,
+    each size s drawn with replacement from 2..limit - 2(s - 1), plus the
+    counts of 1 the identity leaves room for.
     """
     found = set()
-    for r in range(1, min(base, limit // 2) + 1):
-        for counts in _count_multisets(r, limit):
+    for s in range(1, limit // 2 + 1):
+        for core in combinations_with_replacement(range(2, limit - 2 * s + 3), s):
             # a fixed point renders its own description, so its length is
-            # both sum(counts) and the length of the numerals plus one letter each
-            if sum(counts) != sum(digit_length(c, base) + 1 for c in counts):
+            # both sum(counts) and the length of the numerals plus one letter
+            # each; a count of 1 adds 1 to the first and 2 to the second, so
+            # the identity pins the number of counts of 1
+            total = sum(core)
+            if total > limit:
+                continue
+            ones = total - sum(digit_length(c, base) + 1 for c in core)
+            counts = (1,) * ones + core
+            r = len(counts)
+            if ones < 0 or r > base or sum(counts) > limit:
                 continue
             # the rendered word holds each block letter once plus the digits
             # of the count numerals, so the digits are tallied once per multiset

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -330,15 +331,26 @@ def test_output_to_missing_directory_is_invalid_input(capsys, tmp_path):
 
 
 def test_cycles_budget_exit_code(capsys):
-    code, _, err = run(capsys, "cycles", "-k", "6", "--budget", "498")
+    code, _, err = run(capsys, "cycles", "-k", "6", "--budget", "247")
     assert code == 4
     assert "states" in err
 
 
-def test_cycles_long_limit_refused_before_walking(capsys):
-    code, _, err = run(capsys, "cycles", "-k", "2", "--length-limit", "1000000")
+@pytest.mark.parametrize("base, limit", [("2", "1000000"), ("3", "3008")])
+def test_cycles_long_limit_lists_the_cap_cycles(capsys, base, limit):
+    # stdout echoes the limit, so the cycles are what must match
+    code, out, _ = run(capsys, "cycles", "-k", base, "--length-limit", limit, "--format", "json")
+    assert code == 0
+    code, cap_out, _ = run(capsys, "cycles", "-k", base, "--format", "json")
+    assert json.loads(out)["cycles"] == json.loads(cap_out)["cycles"]
+
+
+def test_cycles_refused_before_walking(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "cycles", "-k", "36")
     assert code == 4
-    assert err == "error: cycle search in base 2 needs 250001000000 states, budget is 1000000\n"
+    assert err == "error: cycle search in base 36 needs 9441540 states, budget is 1000000\n"
+    assert time.perf_counter() - start < 1
 
 
 def test_invalid_format_rejected(capsys):

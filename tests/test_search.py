@@ -29,7 +29,16 @@ from peadyn import (
     word_sort_key,
 )
 from peadyn.golden import EXPECTED_FIXED_POINTS
-from peadyn.search import DEFAULT_WORD_BUDGET, _count_image, _count_multisets, _multiset_total
+from peadyn.core import _spell, digit_length
+from peadyn.dynamics import DEFAULT_MAX_STEPS
+from peadyn.search import (
+    DEFAULT_WORD_BUDGET,
+    _count_image,
+    _family,
+    _family_members,
+    _image_states,
+    _resolve_terminal,
+)
 from expected_cycles import EXPECTED_CYCLES
 from reference import description_space_fixed_points, tally_oracle, verify_base2_convergence
 
@@ -283,27 +292,40 @@ def test_fixed_point_search_budget_guard():
 
 def test_cycle_search_budget_guard():
     with pytest.raises(BudgetExceeded):
-        enumerate_cycles(6, budget=498)
+        enumerate_cycles(6, budget=247)
 
 
 def test_cycle_budget_counts_seed_pairs():
-    # the budget counts the count multisets walked, in closed form before the
-    # walk, plus the cycle words listed: 497 + 2 in base 6 and 8,033 + 171
+    # the budget counts the image states walked, in closed form before the
+    # walk, plus the cycle words listed: 246 + 2 in base 6 and 3,232 + 171
     # (63 cycles of period 2 and 15 of period 3) in base 11
-    assert len(enumerate_cycles(6, budget=499)) == 1
-    with pytest.raises(BudgetExceeded, match="base 6 needs 499 states, budget is 498"):
-        enumerate_cycles(6, budget=498)
-    assert len(enumerate_cycles(11, budget=8204)) == 78
-    with pytest.raises(BudgetExceeded, match="base 11 needs 8204 states, budget is 8203"):
-        enumerate_cycles(11, budget=8203)
-    # the count multisets grow like limit**r while their numeral tallies stay
-    # few, so they are counted in closed form, not walked, and refused at once
+    assert len(enumerate_cycles(6, budget=248)) == 1
+    with pytest.raises(BudgetExceeded, match="base 6 needs 248 states, budget is 247"):
+        enumerate_cycles(6, budget=247)
+    assert len(enumerate_cycles(11, budget=3403)) == 78
+    with pytest.raises(BudgetExceeded, match="base 11 needs 3403 states, budget is 3402"):
+        enumerate_cycles(11, budget=3402)
+    # the states walked grow with the base while their cycles stay few, so
+    # they are counted in closed form, not walked, and refused at once
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=f"base 36 needs 60752045 states, budget is {DEFAULT_WORD_BUDGET}"):
+    with pytest.raises(BudgetExceeded, match=f"base 36 needs 9441540 states, budget is {DEFAULT_WORD_BUDGET}"):
         enumerate_cycles(36)
+    assert time.perf_counter() - start < 1
+
+
+def test_refusal_names_the_states_walked():
+    # the closed form over (r, D) is exact, so a refusal before the walk
+    # names the 427 image states base 7 would walk, not a bound on them
+    with pytest.raises(BudgetExceeded, match="base 7 needs 427 states, budget is 10"):
+        enumerate_cycles(7, budget=10)
+
+
+def test_long_limits_walk_few_states():
+    # an image state has excess D <= dg * r, so the walk stays small however
+    # long the limit, and no cycle is longer than the cap
+    start = time.perf_counter()
     for base, limit in ((2, 10**6), (2, 10**12), (3, 3008), (10, 100)):
-        with pytest.raises(BudgetExceeded):
-            enumerate_cycles(base, limit)
+        assert enumerate_cycles(base, limit) == enumerate_cycles(base)
     assert time.perf_counter() - start < 1
 
 
@@ -313,11 +335,87 @@ def test_cycle_periods_match_frozen_search(base, twos, threes):
     assert Counter(record.period for record in enumerate_cycles(base)) == {2: twos, 3: threes}
 
 
-def test_multiset_total_matches_the_walk():
-    for top in range(1, 6):
-        for limit in range(2, 20):
-            walked = sum(1 for r in range(1, top + 1) for _ in _count_multisets(r, limit))
-            assert _multiset_total(top, limit) == walked
+def rotated(cycle):
+    pivot = cycle.index(min(cycle))
+    return cycle[pivot:] + cycle[:pivot]
+
+
+def full_walk_cycles(base, limit):
+    """h-cycles of period >= 2 under the limit, from every count multiset of
+    r <= min(base, limit) counts and sum <= limit: its counts of 2 or more,
+    each size s drawn with replacement from 2..limit - 2(s - 1), plus every
+    number of counts of 1 that fits."""
+    memo, registry = {}, []
+    top = min(base, limit)
+    for size in range(limit // 2 + 1):
+        for core in combinations_with_replacement(range(2, limit - 2 * size + 3), size):
+            for ones in range(min(top - size, limit - sum(core)) + 1):
+                _resolve_terminal((1,) * ones + core, _count_image, base, memo, registry, DEFAULT_MAX_STEPS)
+    return {rotated(c) for c in registry if len(c) >= 2 and all(sum(counts) <= limit for counts in c)}
+
+
+def image_walk_cycles(base, limit):
+    """h-cycles of period >= 2 under the limit, from the image states alone, one r at a time."""
+    digits = digit_length(limit, base)
+    found = set()
+    for r in range(1, min(base, limit) + 1):
+        memo, registry = {}, []
+        for counts in _image_states(r, min(limit - r, digits * r), r):
+            _resolve_terminal(counts, _count_image, base, memo, registry, DEFAULT_MAX_STEPS)
+        found |= {rotated(c) for c in registry if len(c) >= 2 and all(sum(counts) <= limit for counts in c)}
+    return found
+
+
+IMAGE_WALK_CASES = [(base, length_bound(base).length_bound) for base in range(2, 13)] + [
+    (base, limit) for base in range(2, 10) for limit in range(2, length_bound(base).length_bound + 4)
+]
+
+
+@pytest.mark.parametrize("base, limit", IMAGE_WALK_CASES)
+def test_image_walk_finds_every_count_cycle(base, limit):
+    # Fact 2: every state of an h-cycle is an image, so walking the images
+    # alone finds every h-cycle the full walk finds; the sink () is period 1
+    cycles = full_walk_cycles(base, limit)
+    assert image_walk_cycles(base, limit) == cycles
+    families = [_family(cycle, base) for cycle in cycles]
+    expanded = {
+        canonical_cycle(tuple(_spell(t, base) for t in member), base)
+        for forced, ones in families
+        if ones >= 0
+        for member in _family_members(forced, ones)
+    }
+    assert enumerate_cycles(base, limit) == expanded
+
+
+@pytest.mark.parametrize("r, excess", [(0, 3), (1, 5), (2, 9), (3, 12), (4, 4), (5, 4), (3, 0), (6, 17)])
+def test_image_states_yield_each_core_once(r, excess):
+    expected = [
+        (1,) * (r - size) + core
+        for size in range(min(r, excess) + 1)
+        for core in combinations_with_replacement(range(2, excess + 2), size)
+        if sum(core) - size == excess
+    ]
+    states = list(_image_states(r, excess, excess))
+    assert len(states) == len(set(states))
+    assert sorted(states) == sorted(expected)
+
+
+def test_state_count_matches_the_image_walk():
+    cases = [(2, 10**12)] + [
+        (base, limit)
+        for base in range(2, 25)
+        for limit in (2, 5, length_bound(base).length_bound, length_bound(base).length_bound + 7)
+    ]
+    for base, limit in cases:
+        digits = digit_length(limit, base)
+        walked = sum(
+            1
+            for r in range(1, min(base, limit) + 1)
+            for _ in _image_states(r, min(limit - r, digits * r), r)
+        )
+        # a budget of 0 refuses before the walk, naming the closed form
+        with pytest.raises(BudgetExceeded, match=f"base {base} needs {walked} states, budget is 0$"):
+            enumerate_cycles(base, limit, budget=0)
 
 
 def test_search_rejects_bad_limits():
@@ -442,12 +540,6 @@ def test_step_reads_only_the_tally(case):
     # what lets the tally oracle step one sorted word per tally
     base, letters = case
     assert step(tuple(sorted(letters)), base) == step(tuple(letters), base)
-
-
-@pytest.mark.parametrize("r, limit", [(0, 3), (1, 5), (2, 9), (3, 12), (4, 4), (5, 4), (3, 0), (6, 17)])
-def test_count_multisets_yields_each_multiset_once(r, limit):
-    expected = [c for c in combinations_with_replacement(range(1, limit + 1), r) if sum(c) <= limit]
-    assert list(_count_multisets(r, limit)) == expected
 
 
 def test_searches_leave_no_reference_cycles():
