@@ -6,8 +6,10 @@ building. Slow and obviously correct.
 
 ``description_space_fixed_points`` is the fixed point search the package used
 before it listed fixed points by family, and ``tally_oracle`` classifies by
-stepping one word per letter tally. ``verify_base2_convergence`` checks the
-paper's base-2 claim word by word.
+stepping one word per letter tally. ``word_by_word_classify`` is the
+word-by-word classifier as it was before it shared one image per tally: it
+steps every word. ``verify_base2_convergence`` checks the paper's base-2
+claim word by word.
 """
 
 from collections import Counter
@@ -15,7 +17,14 @@ from itertools import combinations, combinations_with_replacement, product
 
 from peadyn.core import Block, Description, _step, digit_length, render
 from peadyn.dynamics import DEFAULT_MAX_STEPS
-from peadyn.search import _digit_tally, _resolve_terminal
+from peadyn.search import (
+    ClassificationReport,
+    _digit_tally,
+    _resolve_terminal,
+    canonical_cycle,
+    cycle_sort_key,
+    word_sort_key,
+)
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -110,6 +119,33 @@ def tally_oracle(base, limit):
             pivot = words.index(min(words))
             cycles.add(words[pivot:] + words[:pivot])
     return fixed, cycles
+
+
+def word_by_word_classify(base, max_len):
+    """The ClassificationReport of every word up to max_len, each stepped on its own.
+
+    Every word's image comes from ``_step``, and every image not yet in the
+    shared memo is walked to its terminal cycle.
+    """
+    fixed = []
+    memo = {}
+    registry = []
+    for n in range(1, max_len + 1):
+        for word in product(range(base), repeat=n):
+            image = _step(word, base)
+            if image == word:
+                fixed.append(word)
+            if image not in memo:
+                _resolve_terminal(image, _step, base, memo, registry, DEFAULT_MAX_STEPS)
+    cycles = sorted(
+        (canonical_cycle(words, base) for words in registry if len(words) >= 2), key=cycle_sort_key
+    )
+    return ClassificationReport(
+        base=base,
+        fixed_points=tuple(sorted(fixed, key=word_sort_key)),
+        cycles=tuple(cycles),
+        search_length_limit=max_len,
+    )
 
 
 def verify_base2_convergence(max_len, *, max_steps=DEFAULT_MAX_STEPS):

@@ -28,6 +28,7 @@ from peadyn import (
     step,
     word_sort_key,
 )
+from peadyn import search
 from peadyn.golden import EXPECTED_FIXED_POINTS
 from peadyn.core import _spell, digit_length
 from peadyn.dynamics import DEFAULT_MAX_STEPS
@@ -40,7 +41,7 @@ from peadyn.search import (
     _resolve_terminal,
 )
 from expected_cycles import EXPECTED_CYCLES
-from reference import description_space_fixed_points, tally_oracle, verify_base2_convergence
+from reference import description_space_fixed_points, tally_oracle, verify_base2_convergence, word_by_word_classify
 
 # The shipped expected table lists 18 words for base 6, but the search finds
 # one more: 15141211110 tallies one 5, one 4, one 2, seven 1s, one 0, and
@@ -155,6 +156,14 @@ def test_search_matches_brute_force(base, max_len):
     assert set(report.fixed_points) == enumerate_fixed_points(base)
     assert set(report.cycles) == enumerate_cycles(base)
     assert list(report.fixed_points) == sorted(report.fixed_points, key=word_sort_key)
+
+
+@pytest.mark.parametrize("base,longest", [(2, 15), (3, 10), (4, 8), (5, 7)])
+def test_brute_force_matches_word_by_word(base, longest):
+    # every length from 1 includes the one where a one-letter word's count
+    # reaches max_len, the largest digit a tally key must hold
+    for max_len in range(1, longest + 1):
+        assert brute_force_classify(base, max_len) == word_by_word_classify(base, max_len), max_len
 
 
 def test_fixed_point_inequality_examples():
@@ -277,11 +286,18 @@ def test_brute_force_small():
     assert [format_word(w) for w in report.fixed_points] == ["111"]
 
 
-def test_brute_force_budget_guard():
+def test_brute_force_budget_guard(monkeypatch):
+    def no_step(word, base):
+        raise AssertionError("stepped a word over budget")
+
+    # the budget counts every word before the sweep steps any
+    monkeypatch.setattr(search, "_step", no_step)
     with pytest.raises(BudgetExceeded):
         brute_force_classify(6, 15)
     with pytest.raises(BudgetExceeded):
         brute_force_classify(2, 8, budget=100)
+    with pytest.raises(BudgetExceeded):
+        brute_force_classify(3, 12, budget=797_159)
 
 
 def test_fixed_point_search_budget_guard():
