@@ -17,6 +17,7 @@ MAX_BASE = 36  # limit of the 0-9a-z text rendering
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_VALUE = {ch: v for v, ch in enumerate(_DIGITS)}
+_LETTERS = {base: frozenset(range(base)) for base in range(MIN_BASE, MAX_BASE + 1)}
 
 Word = tuple[int, ...]
 
@@ -28,7 +29,18 @@ def check_base(base: int) -> None:
 
 def check_word(word: Word, base: int) -> None:
     # negative letters would silently index from the end of tally lists,
-    # so the range check here is load bearing
+    # so the range check here is load bearing.
+    # The set test runs in C and accepts a word exactly when every letter
+    # equals an int in range(base); each such letter also passes the loop's
+    # 0 <= letter < base, so it accepts nothing the loop would reject. A word
+    # it does not accept, or cannot test (an unhashable letter, a base outside
+    # the table), goes through the loop, which alone decides whether to reject
+    # and names the first bad position.
+    try:
+        if _LETTERS[base].issuperset(word):
+            return
+    except (KeyError, TypeError):
+        pass
     for i, letter in enumerate(word):
         if not 0 <= letter < base:
             raise ValueError(f"invalid letter {letter!r} at position {i} for base {base}")
@@ -148,13 +160,17 @@ def _spell(tally: Sequence[int], base: int) -> Word:
     """The word that says ``tally``, the one place a count is written as a numeral.
 
     For each letter present, largest first: its count as a base-k numeral,
-    then the letter itself.
+    then the letter itself. A count below the base is its own one-digit
+    numeral, so only counts of k or more go through the numeral cache.
     """
     out: list[int] = []
     for b in range(base - 1, -1, -1):
         c = tally[b]
         if c:
-            out.extend(_numeral_digits(c, base))
+            if c < base:
+                out.append(c)
+            else:
+                out.extend(_numeral_digits(c, base))
             out.append(b)
     return tuple(out)
 

@@ -2,7 +2,8 @@
 
 ``naive_step`` and ``naive_orbit`` use deliberately different machinery:
 Counter over characters, string concatenation, recursion-free numeral
-building. Slow and obviously correct.
+building. Slow and obviously correct. ``check_word_by_letter`` is the
+letter-by-letter word check the package's set test must agree with.
 
 ``description_space_fixed_points`` is the fixed point search the package used
 before it listed fixed points by family, and ``tally_oracle`` classifies by
@@ -37,6 +38,13 @@ def to_base(n: int, base: int) -> str:
         text = ALPHABET[n % base] + text
         n //= base
     return text
+
+
+def check_word_by_letter(word, base):
+    """Reject the first letter outside 0 <= letter < base, naming its position."""
+    for i, letter in enumerate(word):
+        if not 0 <= letter < base:
+            raise ValueError(f"invalid letter {letter!r} at position {i} for base {base}")
 
 
 def naive_step(word: str, base: int) -> str:

@@ -12,8 +12,9 @@ from peadyn import (
     render,
     step,
 )
+from peadyn.core import _spell, check_word
 from peadyn.golden import EXPECTED_FIXED_POINTS
-from reference import naive_step, to_base
+from reference import ALPHABET, check_word_by_letter, naive_step, to_base
 
 STEP_VECTORS = [
     ("123", 10, "131211"),
@@ -70,6 +71,65 @@ def test_step_rejects_bad_input():
         step((0, 3), 3)
     with pytest.raises(ValueError, match="position 0"):
         step((-1, 0), 3)
+
+
+def check_outcome(check, word, base):
+    """None if ``check`` accepts the word, else the type and message it raises."""
+    try:
+        check(word, base)
+    except Exception as e:  # the type is part of the outcome
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(2, 36).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.one_of(st.integers(-2, k + 1), st.booleans()), max_size=40).map(tuple),
+        )
+    )
+)
+def test_check_word_matches_letter_loop(kw):
+    base, word = kw
+    assert check_outcome(check_word, word, base) == check_outcome(check_word_by_letter, word, base)
+
+
+@pytest.mark.parametrize(
+    "word,base",
+    [
+        ((), 2),
+        ((), 36),
+        ((0, 1, 1), 2),
+        ((True, False, 1), 2),
+        ((0, 2, -1), 2),
+        ((35, 36), 36),
+        ((1.0, 0), 2),  # equal to an int in range, so accepted both ways
+        ((0, 0.5), 2),  # passes the letter test, so neither check rejects it
+        ((0, "1"), 2),  # not comparable with an int
+        ((0, [1]), 2),  # unhashable
+        ((0, 1), 1),  # base outside 2..36, checked letter by letter
+        ((0, 1), 37),
+    ],
+)
+def test_check_word_edge_letters_match_letter_loop(word, base):
+    assert check_outcome(check_word, word, base) == check_outcome(check_word_by_letter, word, base)
+
+
+@pytest.mark.parametrize("base", range(2, 37))
+def test_spell_counts_at_the_base_boundary(base):
+    for c in sorted({1, base - 1, base, base + 1, base**2 - 1, base**2, base**2 + 1}):
+        for letter in (0, base - 1):
+            tally = [0] * base
+            tally[letter] = c
+            assert format_word(_spell(tally, base)) == to_base(c, base) + ALPHABET[letter], c
+    # counts below, at and above the base side by side in one tally
+    tally = [(1, base - 1, base, base + 1, base**2 + 1, 0)[b % 6] for b in range(base)]
+    expected = "".join(
+        to_base(tally[b], base) + ALPHABET[b] for b in range(base - 1, -1, -1) if tally[b]
+    )
+    assert format_word(_spell(tally, base)) == expected
 
 
 @settings(max_examples=300)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,19 @@ def test_orbit_matches_reference(kw):
     transient, period, cycle = naive_orbit(format_word(word), base)
     assert (r.transient, r.period) == (transient, period)
     assert [format_word(w) for w in r.cycle] == cycle
+
+
+def test_long_word_orbits_match_reference():
+    # first-step counts run past the base here, so numerals of two or more
+    # digits show up on the first step and short ones after it
+    rng = random.Random(20171)
+    for i in range(100):
+        base = 2 + i % 35
+        word = tuple(rng.randrange(base) for _ in range(rng.randint(200, 2000)))
+        r = orbit(word, base)
+        transient, period, cycle = naive_orbit(format_word(word), base)
+        assert (r.transient, r.period) == (transient, period), (base, len(word))
+        assert [format_word(w) for w in r.cycle] == cycle
 
 
 @settings(max_examples=150, deadline=None)
