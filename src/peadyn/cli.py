@@ -134,7 +134,7 @@ def cmd_fixed_points(args: argparse.Namespace) -> Result:
 
 def cmd_cycles(args: argparse.Namespace) -> Result:
     limit = (args.length_limit or length_bound(args.base).length_bound) + args.margin
-    records = enumerate_cycles(args.base, limit, max_steps=args.max_steps, budget=args.budget)
+    records = enumerate_cycles(args.base, limit, budget=args.budget)
     cycles = [(c.period, [format_word(w) for w in c.words]) for c in sorted(records, key=cycle_sort_key)]
     payload = {"base": args.base, "length_limit": limit,
                "cycles": [{"period": period, "words": words} for period, words in cycles]}
@@ -227,7 +227,7 @@ COMMANDS = {
     "fixed-points": (cmd_fixed_points, "enumerate every self-describing word",
                      "base length_limit margin budget count format output"),
     "cycles": (cmd_cycles, "enumerate every cycle of period 2 or more",
-               "base max_steps length_limit margin budget format output"),
+               "base length_limit margin budget format output"),
     "verify-table": (cmd_verify_table, "check enumeration against the shipped table",
                      "bases margin budget format output"),
     "bound": (cmd_bound, "print the eventual length bound and word count", "base format output"),

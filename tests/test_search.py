@@ -160,8 +160,8 @@ def test_search_matches_brute_force(base, max_len):
 
 @pytest.mark.parametrize("base,longest", [(2, 15), (3, 10), (4, 8), (5, 7)])
 def test_brute_force_matches_word_by_word(base, longest):
-    # every length from 1 includes the one where a one-letter word's count
-    # reaches max_len, the largest digit a tally key must hold
+    # every max_len from 1, so the image set of each length up to the longest
+    # is checked on its own, the shortest included
     for max_len in range(1, longest + 1):
         assert brute_force_classify(base, max_len) == word_by_word_classify(base, max_len), max_len
 
@@ -377,7 +377,8 @@ def image_walk_cycles(base, limit):
     for r in range(1, min(base, limit) + 1):
         memo, registry = {}, []
         for counts in _image_states(r, min(limit - r, digits * r), r):
-            _resolve_terminal(counts, _count_image, base, memo, registry, DEFAULT_MAX_STEPS)
+            # a guard of 8 steps: no walk needs more, which lets enumerate_cycles drop its own
+            _resolve_terminal(counts, _count_image, base, memo, registry, 8)
         found |= {rotated(c) for c in registry if len(c) >= 2 and all(sum(counts) <= limit for counts in c)}
     return found
 
