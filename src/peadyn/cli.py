@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .core import Word, format_word, parse_word, step
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound, orbit
 from .golden import EXPECTED_FIXED_POINTS
-from .search import (DEFAULT_WORD_BUDGET, BudgetExceeded, count_fixed_points,
+from .search import (DEFAULT_BUDGET, BudgetExceeded, count_fixed_points,
                      cycle_sort_key, enumerate_cycles, enumerate_fixed_points, word_sort_key)
 
 EXIT_OK = 0
@@ -210,7 +210,7 @@ OPTIONS = {
     "budget": (("--budget",), dict(type=_positive_int,
                                    help=f"most states a search holds: fixed point words, or count multisets walked "
                                         f"plus cycle words; lists both up to base 23 "
-                                        f"(default {DEFAULT_WORD_BUDGET}); env {BUDGET_ENV}")),
+                                        f"(default {DEFAULT_BUDGET}); env {BUDGET_ENV}")),
     "count": (("--count",), dict(action="store_true",
                                  help="print how many fixed points there are, not the list; no budget")),
     "bases": (("--bases",), dict(type=_base_list, default=tuple(sorted(EXPECTED_FIXED_POINTS)),

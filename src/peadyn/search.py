@@ -34,7 +34,7 @@ digits of the length limit L (2 from base 4 up under the cap, 3 at base 3,
 4 at base 2), r <= D <= dg * r and r + D <= L. So a slice walks one state
 per partition of each such D into at most r parts, counted in closed form
 before the walk, through ``_resolve_terminal``, which also walks words for
-the unpruned word-by-word classifier.
+the brute-force classifier.
 
 Fixed points are the multisets with h(M) = M. Split M into its core, the
 counts >= 2, and m1 counts of 1. A fixed point renders its own description,
@@ -60,20 +60,21 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .core import Description, Word, _numeral_digits, _spell, _step, _tally, check_base, describe, digit_length
+from .core import Description, Word, _numeral_digits, _spell, _step, check_base, describe, digit_length
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 
-# Words for the word-by-word classifier, which visits 3.5 to 5.3 million a second
-# on a 2-vCPU Xeon: base 2 runs up to length 22 (8,388,606 words, 2.4 s) and
-# base 3 up to length 14 (7,174,452 words, 1.4 s), not further.
-DEFAULT_BUDGET = 10**7
-# States the searches hold: fixed points listed, or count multisets walked plus
-# cycle words listed. It lists fixed points and cycles up to base 23 (about
-# 150 MB and 210 MB).
-DEFAULT_WORD_BUDGET = 10**6
+# The states the searches hold (fixed points listed, or count multisets walked
+# plus cycle words listed), or the letter tallies the brute-force classifier
+# steps. The searches list fixed points and cycles up to base 23 (about 150 MB
+# and 210 MB). The classifier reaches the length cap of every base up to 7
+# (346,103 tallies, 2.0 s, 67 MB on a 2-vCPU Xeon) and refuses base 8 at its
+# cap (2,220,074). A tally's step costs time that grows with its length, so
+# for the classifier the count bounds neither time nor memory: base 2 to
+# length 1412 (998,990 tallies) takes 60 s and 166 MB.
+DEFAULT_BUDGET = 10**6
 
 Tally = tuple[int, ...]  # letter counts indexed by letter, length base
 State = tuple[int, ...]  # a word or a count multiset, whichever _resolve_terminal walks
@@ -84,7 +85,7 @@ class BudgetExceeded(RuntimeError):
 
     The fixed point search counts the words it would list; the cycle search
     counts the count multisets it walks plus the words it would list; the
-    word-by-word classifier counts the words it would visit.
+    brute-force classifier counts the letter tallies it would step.
     """
 
 
@@ -119,7 +120,7 @@ class CycleRecord:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Everything the word-by-word classifier found: fixed points plus period >= 2 cycles."""
+    """Everything the brute-force classifier found: fixed points plus period >= 2 cycles."""
 
     base: int
     fixed_points: tuple[Word, ...]
@@ -261,12 +262,12 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
     any fixed point recurs forever, so its length fits under the cap. The
     words come from families of fixed points that share their counts of 2 or
     more (see the module docstring). The budget caps the number of words
-    listed, default ``DEFAULT_WORD_BUDGET``: the family sizes are summed
+    listed, default ``DEFAULT_BUDGET``: the family sizes are summed
     first, and the search raises ``BudgetExceeded`` before it renders any
     word if they exceed it.
     """
     families = _fixed_point_families(base, length_limit)
-    allowed = DEFAULT_WORD_BUDGET if budget is None else budget
+    allowed = DEFAULT_BUDGET if budget is None else budget
     needed = sum(_family_size(*family) for family in families)
     if needed > allowed:
         raise BudgetExceeded(f"fixed point search in base {base} needs {needed} words, budget is {allowed}")
@@ -275,11 +276,6 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
 
 def _digit_tally(counts: tuple[int, ...], base: int) -> list[int]:
     """How often each letter occurs among the base-k numerals of ``counts``."""
-    return _tally([d for c in counts for d in _numeral_digits(c, base)], base)
-
-
-def _count_image(counts: tuple[int, ...], base: int) -> tuple[int, ...]:
-    """h, the sorted counts of step(w) for a word w with these counts that holds its digits."""
     tally = [0] * base
     for c in counts:
         if c < base:  # a one-digit numeral, the common case
@@ -287,7 +283,12 @@ def _count_image(counts: tuple[int, ...], base: int) -> tuple[int, ...]:
         else:
             for d in _numeral_digits(c, base):
                 tally[d] += 1
-    forced = [t + 1 for t in tally if t]
+    return tally
+
+
+def _count_image(counts: tuple[int, ...], base: int) -> tuple[int, ...]:
+    """h, the sorted counts of step(w) for a word w with these counts that holds its digits."""
+    forced = [t + 1 for t in _digit_tally(counts, base) if t]
     ones = len(counts) - len(forced)
     if ones < 0:
         return ()
@@ -360,7 +361,7 @@ def enumerate_cycles(
     Each cycle of period >= 2 of ``_count_image`` that fits is expanded into
     its family of word cycles; the walk, one r at a time over the images of
     h alone, is in the module docstring. The budget caps the states held,
-    default ``DEFAULT_WORD_BUDGET``: the states walked, counted in closed
+    default ``DEFAULT_BUDGET``: the states walked, counted in closed
     form before the walk, plus the words listed, summed from the family
     sizes before any is spelled.
     """
@@ -368,7 +369,7 @@ def enumerate_cycles(
     limit = length_bound(base).length_bound if length_limit is None else length_limit
     if limit < 2:
         raise ValueError(f"cycle search needs a length limit of at least 2, got {limit}")
-    allowed = DEFAULT_WORD_BUDGET if budget is None else budget
+    allowed = DEFAULT_BUDGET if budget is None else budget
     top = min(base, limit)
     digits = digit_length(limit, base)
     most = [min(limit - r, digits * r) for r in range(top + 1)]  # the largest excess D per r
@@ -409,35 +410,31 @@ def brute_force_classify(
     *,
     budget: int | None = None,
 ) -> ClassificationReport:
-    """Classify by visiting every nonempty word up to max_len, no pruning.
+    """Classify every nonempty word up to max_len by stepping one word per letter tally.
 
     The completeness oracle for the description searches, which assumes only
-    that step reads a word through its tally. For each length n the sweep
-    steps one sorted word per tally and collects the images in a set. Then it
-    visits every word of length n. A word equal to its image lies in that
-    set, as its image is its tally's image, so only the words in the set are
-    stepped, and each that equals its own image is a fixed point. Cycles are
-    the terminals of the per-tally images, each resolved once through
-    ``_resolve_terminal`` with the step guard at ``DEFAULT_MAX_STEPS``. The
-    budget caps the words visited, all counted before the sweep; its default
-    admits base 2 up to length 22 and base 3 up to length 14, a few seconds
-    each.
+    that step reads a word through its tally, so all words of one tally share
+    one image. For each length n the sweep steps one sorted word per tally of
+    n letters and resolves each image through ``_resolve_terminal``, with the
+    step guard at ``DEFAULT_MAX_STEPS``. A fixed word is the image of its own
+    tally, so it enters the registry as a cycle of period 1; the fixed points
+    are those of length <= max_len, and the cycles are the registered ones of
+    period >= 2. The budget caps the tallies stepped, C(max_len + k, k) - 1,
+    counted before the sweep.
     """
     check_base(base)
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
     allowed = DEFAULT_BUDGET if budget is None else budget
-    total = (base ** (max_len + 1) - base) // (base - 1)
-    if total > allowed:
-        raise BudgetExceeded(f"{total} words of length <= {max_len}, budget is {allowed}")
-    fixed: list[Word] = []
+    needed = comb(max_len + base, base) - 1
+    if needed > allowed:
+        raise BudgetExceeded(f"brute-force classification in base {base} needs {needed} tallies, budget is {allowed}")
     memo: dict[Word, int] = {}
     registry: list[tuple[Word, ...]] = []
     for n in range(1, max_len + 1):
-        images = {_step(word, base) for word in combinations_with_replacement(range(base), n)}
-        for image in images:
-            _resolve_terminal(image, _step, base, memo, registry, DEFAULT_MAX_STEPS)
-        fixed += [word for word in product(range(base), repeat=n) if word in images and _step(word, base) == word]
+        for word in combinations_with_replacement(range(base), n):
+            _resolve_terminal(_step(word, base), _step, base, memo, registry, DEFAULT_MAX_STEPS)
+    fixed = [words[0] for words in registry if len(words) == 1 and len(words[0]) <= max_len]
     cycles = sorted(
         (canonical_cycle(words, base) for words in registry if len(words) >= 2), key=cycle_sort_key
     )

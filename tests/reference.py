@@ -6,11 +6,11 @@ building. Slow and obviously correct. ``check_word_by_letter`` is the
 letter-by-letter word check the package's set test must agree with.
 
 ``description_space_fixed_points`` is the fixed point search the package used
-before it listed fixed points by family, and ``tally_oracle`` classifies by
-stepping one word per letter tally. ``word_by_word_classify`` is the
-word-by-word classifier as it was before it shared one image per tally: it
-steps every word. ``verify_base2_convergence`` checks the paper's base-2
-claim word by word.
+before it listed fixed points by family; it tallies the digits of the count
+numerals with ``Counter`` over ``to_base``, not with the package's loop.
+``word_by_word_classify`` is the word-by-word classifier as it was before it
+shared one image per tally: it steps every word. ``verify_base2_convergence``
+checks the paper's base-2 claim word by word.
 """
 
 from collections import Counter
@@ -20,7 +20,6 @@ from peadyn.core import Block, Description, _step, digit_length, render
 from peadyn.dynamics import DEFAULT_MAX_STEPS
 from peadyn.search import (
     ClassificationReport,
-    _digit_tally,
     _resolve_terminal,
     canonical_cycle,
     cycle_sort_key,
@@ -94,7 +93,7 @@ def description_space_fixed_points(base, limit):
                 continue
             # the rendered word holds each block letter once plus the digits
             # of the count numerals, so the digits are tallied once per multiset
-            digits = _digit_tally(counts, base)
+            digits = Counter(ALPHABET.index(d) for c in counts for d in to_base(c, base))
             for letters in combinations(range(base - 1, -1, -1), r):
                 # the tally forces each letter's count; the identity pins
                 # len(word) == sum(counts), so matching the multiset leaves no
@@ -103,30 +102,6 @@ def description_space_fixed_points(base, limit):
                 if sorted(own) == list(counts):
                     found.add(render(Description(tuple(map(Block, own, letters)), base)))
     return found
-
-
-def tally_oracle(base, limit):
-    """(fixed points of length <= limit, cycles reached from words of length <= limit).
-
-    The step map reads a word only through its letter tally, so the sorted
-    word of each tally stands for all of its rearrangements: stepping it
-    gives the image they share. Every image is walked word by word to its
-    terminal cycle. Each cycle of period >= 2 comes as a tuple of words
-    rotated to start at its smallest word. Uses no tally image, no count
-    generator and no count identity.
-    """
-    memo = {}
-    registry = []
-    for n in range(1, limit + 1):
-        for word in combinations_with_replacement(range(base), n):
-            _resolve_terminal(_step(word, base), _step, base, memo, registry, DEFAULT_MAX_STEPS)
-    fixed = {words[0] for words in registry if len(words) == 1 and len(words[0]) <= limit}
-    cycles = set()
-    for words in registry:
-        if len(words) >= 2:
-            pivot = words.index(min(words))
-            cycles.add(words[pivot:] + words[:pivot])
-    return fixed, cycles
 
 
 def word_by_word_classify(base, max_len):

@@ -33,7 +33,7 @@ from peadyn.golden import EXPECTED_FIXED_POINTS
 from peadyn.core import _spell, digit_length
 from peadyn.dynamics import DEFAULT_MAX_STEPS
 from peadyn.search import (
-    DEFAULT_WORD_BUDGET,
+    DEFAULT_BUDGET,
     _count_image,
     _family,
     _family_members,
@@ -41,7 +41,7 @@ from peadyn.search import (
     _resolve_terminal,
 )
 from expected_cycles import EXPECTED_CYCLES
-from reference import description_space_fixed_points, tally_oracle, verify_base2_convergence, word_by_word_classify
+from reference import description_space_fixed_points, verify_base2_convergence, word_by_word_classify
 
 # The shipped expected table lists 18 words for base 6, but the search finds
 # one more: 15141211110 tallies one 5, one 4, one 2, seven 1s, one 0, and
@@ -160,8 +160,8 @@ def test_search_matches_brute_force(base, max_len):
 
 @pytest.mark.parametrize("base,longest", [(2, 15), (3, 10), (4, 8), (5, 7)])
 def test_brute_force_matches_word_by_word(base, longest):
-    # every max_len from 1, so the image set of each length up to the longest
-    # is checked on its own, the shortest included
+    # every max_len from 1, so the fixed points read off the registry are
+    # checked against stepping every word at each cutoff, the shortest included
     for max_len in range(1, longest + 1):
         assert brute_force_classify(base, max_len) == word_by_word_classify(base, max_len), max_len
 
@@ -290,14 +290,18 @@ def test_brute_force_budget_guard(monkeypatch):
     def no_step(word, base):
         raise AssertionError("stepped a word over budget")
 
-    # the budget counts every word before the sweep steps any
-    monkeypatch.setattr(search, "_step", no_step)
-    with pytest.raises(BudgetExceeded):
-        brute_force_classify(6, 15)
-    with pytest.raises(BudgetExceeded):
-        brute_force_classify(2, 8, budget=100)
-    with pytest.raises(BudgetExceeded):
-        brute_force_classify(3, 12, budget=797_159)
+    # the budget counts the letter tallies of length 1..max_len,
+    # C(max_len + k, k) - 1, before the sweep steps any word
+    with monkeypatch.context() as patched:
+        patched.setattr(search, "_step", no_step)
+        with pytest.raises(BudgetExceeded, match="base 3 needs 454 tallies, budget is 453"):
+            brute_force_classify(3, 12, budget=453)
+        with pytest.raises(BudgetExceeded):
+            brute_force_classify(2, 8, budget=43)
+        with pytest.raises(BudgetExceeded, match=f"base 8 needs 2220074 tallies, budget is {DEFAULT_BUDGET}"):
+            brute_force_classify(8, 19)
+    assert brute_force_classify(3, 12, budget=454) == brute_force_classify(3, 12)
+    assert brute_force_classify(2, 8, budget=44) == brute_force_classify(2, 8)
 
 
 def test_fixed_point_search_budget_guard():
@@ -324,7 +328,7 @@ def test_cycle_budget_counts_seed_pairs():
     # the states walked grow with the base while their cycles stay few, so
     # they are counted in closed form, not walked, and refused at once
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=f"base 36 needs 9441540 states, budget is {DEFAULT_WORD_BUDGET}"):
+    with pytest.raises(BudgetExceeded, match=f"base 36 needs 9441540 states, budget is {DEFAULT_BUDGET}"):
         enumerate_cycles(36)
     assert time.perf_counter() - start < 1
 
@@ -515,7 +519,7 @@ def test_fixed_point_counts_match_frozen_search(base, count):
 
 def test_default_budget_lists_base_23_and_refuses_base_24():
     # the default keeps a listing in memory: base 24 fails before a word is rendered
-    assert count_fixed_points(23) <= DEFAULT_WORD_BUDGET < count_fixed_points(24)
+    assert count_fixed_points(23) <= DEFAULT_BUDGET < count_fixed_points(24)
     with pytest.raises(BudgetExceeded, match="base 24 needs 1048852 words, budget is 1000000"):
         enumerate_fixed_points(24)
 
@@ -533,13 +537,14 @@ def test_base2_search_far_past_the_cap():
     assert enumerate_fixed_points(2, 3000) == expected_words(2)
 
 
-def check_tally_oracle(base):
-    """Assert that the tally oracle agrees with both fixed point searches and the cycle search."""
+def check_tally_oracle(base, budget=None):
+    """Assert that the brute-force oracle at the cap agrees with both fixed point searches and the cycle search."""
     limit = length_bound(base).length_bound
-    fixed, cycles = tally_oracle(base, limit)
+    report = brute_force_classify(base, limit, budget=budget)
+    fixed = set(report.fixed_points)
     assert fixed == enumerate_fixed_points(base)
     assert fixed == description_space_fixed_points(base, limit)
-    assert cycles == {record.words for record in enumerate_cycles(base)}
+    assert set(report.cycles) == enumerate_cycles(base)
 
 
 @pytest.mark.parametrize("base", range(2, 8))
