@@ -208,9 +208,8 @@ OPTIONS = {
     "length_limit": (("--length-limit",), dict(type=_positive_int, help="length cap (default: the bound)")),
     "margin": (("--margin",), dict(type=_nonnegative_int, default=0, help="extra length over the cap")),
     "budget": (("--budget",), dict(type=_positive_int,
-                                   help=f"most states a search holds: fixed point words, or count multisets walked "
-                                        f"plus cycle words; lists both up to base 23 "
-                                        f"(default {DEFAULT_BUDGET}); env {BUDGET_ENV}")),
+                                   help=f"most words a search lists, fixed point or cycle words; lists both "
+                                        f"up to base 23 (default {DEFAULT_BUDGET}); env {BUDGET_ENV}")),
     "count": (("--count",), dict(action="store_true",
                                  help="print how many fixed points there are, not the list; no budget")),
     "bases": (("--bases",), dict(type=_base_list, default=tuple(sorted(EXPECTED_FIXED_POINTS)),

@@ -29,12 +29,24 @@ Cycle search walks few states, by two facts. Fact 1: h keeps r, the number
 of counts, unless it sends M to the sink, so the walk takes one r at a time
 and drops each slice's memo. Fact 2: every state of an h-cycle is an image,
 (1,) * (r - |core|) + core with core counts >= 2 whose excess D = sum(c - 1)
-is the number of digits of the previous state's r numerals. With dg the
-digits of the length limit L (2 from base 4 up under the cap, 3 at base 3,
-4 at base 2), r <= D <= dg * r and r + D <= L. So a slice walks one state
-per partition of each such D into at most r parts, counted in closed form
-before the walk, through ``_resolve_terminal``, which also walks words for
-the brute-force classifier.
+is the number of digits of the previous state's r numerals, and that
+previous state is in the cycle too. Two cuts follow:
+
+- Digit cap. A count is at most 1 + the digits of the previous state's
+  r <= k numerals, so if the largest count of a cycle has d digits, then
+  k^(d - 1) <= 1 + k * d. That caps d at dg, the digits of the length cap
+  (4 at base 2, 3 at base 3, 2 from base 4 up), or of the length limit L
+  if it is below the cap. So r <= D <= most = min(L - r, dg * r).
+- Second image. The previous state's excess is at most ``most`` too, and a
+  count with d digits has c - 1 >= k^(d - 1) - 1 >= (d - 1)(k - 1), so its
+  numerals have at most r + most // (k - 1) digits, which bounds D. From
+  base 4 up that leaves D <= r + 2.
+
+So a slice walks one state per partition of each such D into at most r
+parts, through ``_resolve_terminal``, which also walks words for the
+brute-force classifier. The walk is bounded by the base alone, at most
+265,934 states (base 36, under any limit), so the cycle budget counts only
+the words listed.
 
 Fixed points are the multisets with h(M) = M. Split M into its core, the
 counts >= 2, and m1 counts of 1. A fixed point renders its own description,
@@ -66,14 +78,14 @@ from math import comb
 from .core import Description, Word, _numeral_digits, _spell, _step, check_base, describe, digit_length
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 
-# The states the searches hold (fixed points listed, or count multisets walked
-# plus cycle words listed), or the letter tallies the brute-force classifier
-# steps. The searches list fixed points and cycles up to base 23 (about 150 MB
-# and 210 MB). The classifier reaches the length cap of every base up to 7
-# (346,103 tallies, 2.0 s, 67 MB on a 2-vCPU Xeon) and refuses base 8 at its
-# cap (2,220,074). A tally's step costs time that grows with its length, so
-# for the classifier the count bounds neither time nor memory: base 2 to
-# length 1412 (998,990 tallies) takes 60 s and 166 MB.
+# The words the searches list (fixed points, or the words of the cycles), or
+# the letter tallies the brute-force classifier steps. The searches list fixed
+# points and cycles up to base 23 (about 165 MB and 205 MB) and refuse base 24
+# within 0.05 s, before a word is spelled. The classifier reaches the length
+# cap of every base up to 7 (346,103 tallies, 2.0 s, 67 MB on a 2-vCPU Xeon)
+# and refuses base 8 at its cap (2,220,074). A tally's step costs time that
+# grows with its length, so for the classifier the count bounds neither time
+# nor memory: base 2 to length 1412 (998,990 tallies) takes 60 s and 166 MB.
 DEFAULT_BUDGET = 10**6
 
 Tally = tuple[int, ...]  # letter counts indexed by letter, length base
@@ -83,8 +95,7 @@ State = tuple[int, ...]  # a word or a count multiset, whichever _resolve_termin
 class BudgetExceeded(RuntimeError):
     """The requested search is larger than its budget.
 
-    The fixed point search counts the words it would list; the cycle search
-    counts the count multisets it walks plus the words it would list; the
+    The fixed point and cycle searches count the words they would list; the
     brute-force classifier counts the letter tallies it would step.
     """
 
@@ -360,42 +371,33 @@ def enumerate_cycles(
     Complete for the default length limit (the eventual orbit length cap).
     Each cycle of period >= 2 of ``_count_image`` that fits is expanded into
     its family of word cycles; the walk, one r at a time over the images of
-    h alone, is in the module docstring. The budget caps the states held,
-    default ``DEFAULT_BUDGET``: the states walked, counted in closed
-    form before the walk, plus the words listed, summed from the family
-    sizes before any is spelled.
+    h alone, is in the module docstring. The budget caps the words listed,
+    default ``DEFAULT_BUDGET``: each slice adds its families' words, summed
+    from the family sizes, and the first slice that passes the budget
+    raises ``BudgetExceeded`` before any word is spelled.
     """
     check_base(base)
-    limit = length_bound(base).length_bound if length_limit is None else length_limit
+    cap = length_bound(base).length_bound
+    limit = cap if length_limit is None else length_limit
     if limit < 2:
         raise ValueError(f"cycle search needs a length limit of at least 2, got {limit}")
     allowed = DEFAULT_BUDGET if budget is None else budget
-    top = min(base, limit)
-    digits = digit_length(limit, base)
-    most = [min(limit - r, digits * r) for r in range(top + 1)]  # the largest excess D per r
-    # parts[n] counts the partitions of n into at most r parts, as p(n, <= r) =
-    # p(n, <= r - 1) + p(n - r, <= r): fewer than r parts, or r that each lose 1
-    parts = [1] + [0] * max(most)
-    needed = 0
-    for r in range(1, top + 1):
-        for n in range(r, len(parts)):
-            parts[n] += parts[n - r]
-        needed += sum(parts[r : most[r] + 1])
+    digits = digit_length(min(limit, cap), base)
     families: list[tuple[tuple[Tally, ...], int]] = []
-    if needed <= allowed:
-        for r in range(1, top + 1):
-            memo: dict[State, int] = {}
-            registry: list[tuple[State, ...]] = []
-            for counts in _image_states(r, most[r], r):
-                _resolve_terminal(counts, _count_image, base, memo, registry, DEFAULT_MAX_STEPS)
-            families += [
-                _family(cycle, base)
-                for cycle in registry
-                if len(cycle) >= 2 and all(sum(counts) <= limit for counts in cycle)
-            ]
-        needed += sum(len(forced) * _family_size(forced, ones) for forced, ones in families)
-    if needed > allowed:
-        raise BudgetExceeded(f"cycle search in base {base} needs {needed} states, budget is {allowed}")
+    for r in range(1, min(base, limit) + 1):
+        most = min(limit - r, digits * r)  # the excess D of any state of a cycle that fits
+        memo: dict[State, int] = {}
+        registry: list[tuple[State, ...]] = []
+        for counts in _image_states(r, min(most, r + most // (base - 1)), r):
+            _resolve_terminal(counts, _count_image, base, memo, registry, DEFAULT_MAX_STEPS)
+        families += [
+            _family(cycle, base)
+            for cycle in registry
+            if len(cycle) >= 2 and all(sum(counts) <= limit for counts in cycle)
+        ]
+        needed = sum(len(forced) * _family_size(forced, ones) for forced, ones in families)
+        if needed > allowed:
+            raise BudgetExceeded(f"cycle search in base {base} needs at least {needed} words, budget is {allowed}")
     return {
         canonical_cycle(tuple(_spell(t, base) for t in member), base)
         for family in families

@@ -331,9 +331,9 @@ def test_output_to_missing_directory_is_invalid_input(capsys, tmp_path):
 
 
 def test_cycles_budget_exit_code(capsys):
-    code, _, err = run(capsys, "cycles", "-k", "6", "--budget", "247")
+    code, _, err = run(capsys, "cycles", "-k", "6", "--budget", "1")
     assert code == 4
-    assert "states" in err
+    assert "words" in err
 
 
 @pytest.mark.parametrize("base, limit", [("2", "1000000"), ("3", "3008")])
@@ -349,7 +349,7 @@ def test_cycles_refused_before_walking(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "cycles", "-k", "36")
     assert code == 4
-    assert err == "error: cycle search in base 36 needs 9441540 states, budget is 1000000\n"
+    assert err == "error: cycle search in base 36 needs at least 1886691 words, budget is 1000000\n"
     assert time.perf_counter() - start < 1
 
 

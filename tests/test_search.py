@@ -312,39 +312,52 @@ def test_fixed_point_search_budget_guard():
 
 def test_cycle_search_budget_guard():
     with pytest.raises(BudgetExceeded):
-        enumerate_cycles(6, budget=247)
+        enumerate_cycles(6, budget=1)
 
 
-def test_cycle_budget_counts_seed_pairs():
-    # the budget counts the image states walked, in closed form before the
-    # walk, plus the cycle words listed: 246 + 2 in base 6 and 3,232 + 171
-    # (63 cycles of period 2 and 15 of period 3) in base 11
-    assert len(enumerate_cycles(6, budget=248)) == 1
-    with pytest.raises(BudgetExceeded, match="base 6 needs 248 states, budget is 247"):
-        enumerate_cycles(6, budget=247)
-    assert len(enumerate_cycles(11, budget=3403)) == 78
-    with pytest.raises(BudgetExceeded, match="base 11 needs 3403 states, budget is 3402"):
-        enumerate_cycles(11, budget=3402)
-    # the states walked grow with the base while their cycles stay few, so
-    # they are counted in closed form, not walked, and refused at once
+def test_cycle_budget_counts_words():
+    # the budget counts the cycle words listed, summed from the family sizes
+    # slice by slice: 2 in base 6 and 171 in base 11 (63 cycles of period 2
+    # and 15 of period 3)
+    assert len(enumerate_cycles(6, budget=2)) == 1
+    with pytest.raises(BudgetExceeded, match="base 6 needs at least 2 words, budget is 1"):
+        enumerate_cycles(6, budget=1)
+    assert len(enumerate_cycles(11, budget=171)) == 78
+    with pytest.raises(BudgetExceeded, match="base 11 needs at least 171 words, budget is 170"):
+        enumerate_cycles(11, budget=170)
+    # the walk is bounded by the base, so base 36 is refused at once, at the
+    # first slice whose words pass the budget
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=f"base 36 needs 9441540 states, budget is {DEFAULT_BUDGET}"):
+    with pytest.raises(BudgetExceeded, match=f"base 36 needs at least 1886691 words, budget is {DEFAULT_BUDGET}"):
         enumerate_cycles(36)
     assert time.perf_counter() - start < 1
 
 
-def test_refusal_names_the_states_walked():
-    # the closed form over (r, D) is exact, so a refusal before the walk
-    # names the 427 image states base 7 would walk, not a bound on them
-    with pytest.raises(BudgetExceeded, match="base 7 needs 427 states, budget is 10"):
-        enumerate_cycles(7, budget=10)
+def test_cycle_refusal_names_the_words():
+    # base 24 is refused at the slice that passes the default, before any
+    # word is spelled, naming the words of the slices so far
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=f"base 24 needs at least 1015759 words, budget is {DEFAULT_BUDGET}$"):
+        enumerate_cycles(24)
+    assert time.perf_counter() - start < 1
+
+
+def test_digit_cap_is_the_digits_of_the_length_cap():
+    # the largest d with k^(d - 1) <= 1 + k * d, the most digits a count of a
+    # cycle can have, is the digit count of the length cap for every base
+    for base in range(2, 37):
+        most = max(d for d in range(1, 10) if base ** (d - 1) <= 1 + base * d)
+        assert most == digit_length(length_bound(base).length_bound, base), base
 
 
 def test_long_limits_walk_few_states():
-    # an image state has excess D <= dg * r, so the walk stays small however
+    # a cycle's counts have at most as many digits as the cap, and its
+    # excess is bounded by the second image, so the walk stays small however
     # long the limit, and no cycle is longer than the cap
     start = time.perf_counter()
-    for base, limit in ((2, 10**6), (2, 10**12), (3, 3008), (10, 100)):
+    cases = [(2, 10**6), (2, 10**12), (3, 3008), (10, 100)]
+    cases += [(2, 10**100), (3, 10**100), (11, 10**100), (13, 10**100)]
+    for base, limit in cases:
         assert enumerate_cycles(base, limit) == enumerate_cycles(base)
     assert time.perf_counter() - start < 1
 
@@ -419,24 +432,6 @@ def test_image_states_yield_each_core_once(r, excess):
     states = list(_image_states(r, excess, excess))
     assert len(states) == len(set(states))
     assert sorted(states) == sorted(expected)
-
-
-def test_state_count_matches_the_image_walk():
-    cases = [(2, 10**12)] + [
-        (base, limit)
-        for base in range(2, 25)
-        for limit in (2, 5, length_bound(base).length_bound, length_bound(base).length_bound + 7)
-    ]
-    for base, limit in cases:
-        digits = digit_length(limit, base)
-        walked = sum(
-            1
-            for r in range(1, min(base, limit) + 1)
-            for _ in _image_states(r, min(limit - r, digits * r), r)
-        )
-        # a budget of 0 refuses before the walk, naming the closed form
-        with pytest.raises(BudgetExceeded, match=f"base {base} needs {walked} states, budget is 0$"):
-            enumerate_cycles(base, limit, budget=0)
 
 
 def test_search_rejects_bad_limits():
