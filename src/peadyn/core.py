@@ -20,6 +20,7 @@ _DIGIT_VALUE = {ch: v for v, ch in enumerate(_DIGITS)}
 _LETTERS = {base: frozenset(range(base)) for base in range(MIN_BASE, MAX_BASE + 1)}
 
 Word = tuple[int, ...]
+Tally = tuple[int, ...]  # letter counts indexed by letter, length base
 
 
 def check_base(base: int) -> None:
@@ -175,8 +176,28 @@ def _spell(tally: Sequence[int], base: int) -> Word:
     return tuple(out)
 
 
+def _tally_image(tally: Sequence[int], base: int) -> Tally:
+    """The tally of ``_spell(tally)``, found without spelling it.
+
+    Each letter present is its own block letter once, and each count adds
+    the letters of its numeral: one digit below the base, else the digits
+    from the numeral cache. So one step of the map costs O(k) on tallies,
+    whatever the length of the word.
+    """
+    out = [0] * base
+    for b, c in enumerate(tally):
+        if c:
+            out[b] += 1
+            if c < base:
+                out[c] += 1
+            else:
+                for d in _numeral_digits(c, base):
+                    out[d] += 1
+    return tuple(out)
+
+
 def _step(word: Word, base: int) -> Word:
-    # describe + render without validation; hot path for orbit and search
+    # describe + render without validation, for public step and cycle checks
     return _spell(_tally(word, base), base)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Word, _step, check_base, check_word
+from .core import Word, _spell, _tally, _tally_image, check_base, check_word
 
 DEFAULT_MAX_STEPS = 10000
 
@@ -52,9 +52,18 @@ def length_bound(base: int) -> BoundInfo:
 def orbit(start: Word, base: int, max_steps: int = DEFAULT_MAX_STEPS) -> OrbitResult:
     """Iterate the step map from ``start`` until the first revisit.
 
-    Keeps one word -> first index map, in visit order, so one pass yields the
-    exact transient and period, and the map's tail is the cycle. Raises
-    OrbitLimitExceeded if no repeat shows up within ``max_steps`` applications.
+    The map reads a word only through its tally, so the loop steps tallies
+    (``_tally_image``, O(k) a step) and keys one tally -> first index map on
+    them, in visit order. With t_j the tally of the j-th word w_j, the first
+    repeat t_n == t_i gives w_(n+1) == w_(i+1), since w_(j+1) spells t_j. The
+    words can repeat one step sooner, w_n == w_i, because distinct tallies can
+    spell one word: in base 2, (1, 9) and (3, 4) both spell 1001110, so
+    1111111110 steps to 1001110 and repeats it at step 2, as its tallies
+    repeat, not at step 3. One word comparison decides: if w_n == w_i (w_i the
+    start when i == 0, else the spelling of t_(i-1)), the transient is i and
+    the repeat takes n steps, otherwise i + 1 and n + 1. Only the cycle words
+    are spelled. Raises OrbitLimitExceeded if the words do not repeat within
+    ``max_steps`` applications.
     """
     check_base(base)
     check_word(start, base)
@@ -62,19 +71,20 @@ def orbit(start: Word, base: int, max_steps: int = DEFAULT_MAX_STEPS) -> OrbitRe
         raise ValueError("orbit needs a nonempty start word")
     if max_steps < 1:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
-    first_seen = {start: 0}
-    current = start
+    current = tuple(_tally(start, base))
+    first_seen = {current: 0}
     for n in range(1, max_steps + 1):
-        current = _step(current, base)
-        prior = first_seen.get(current)
-        if prior is not None:
-            return OrbitResult(
-                start=start,
-                transient=prior,
-                period=n - prior,
-                cycle=tuple(first_seen)[prior:],
-                steps_taken=n,
-            )
-        first_seen[current] = n
+        current = _tally_image(current, base)
+        i = first_seen.get(current)
+        if i is None:
+            first_seen[current] = n
+            continue
+        tallies = tuple(first_seen)
+        cycle = tuple(_spell(t, base) for t in tallies[i:])  # w_(i+1) .. w_n
+        if cycle[-1] == (start if i == 0 else _spell(tallies[i - 1], base)):
+            # w_n == w_i: the same cycle, entered one step sooner
+            return OrbitResult(start, transient=i, period=n - i, cycle=cycle[-1:] + cycle[:-1], steps_taken=n)
+        if n < max_steps:
+            return OrbitResult(start, transient=i + 1, period=n - i, cycle=cycle, steps_taken=n + 1)
+        break
     raise OrbitLimitExceeded(f"no repeat within {max_steps} steps from the given start")
-

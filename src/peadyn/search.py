@@ -43,8 +43,8 @@ previous state is in the cycle too. Two cuts follow:
   base 4 up that leaves D <= r + 2.
 
 So a slice walks one state per partition of each such D into at most r
-parts, through ``_resolve_terminal``, which also walks words for the
-brute-force classifier. The walk is bounded by the base alone, at most
+parts, through ``_resolve_terminal``, which also walks letter tallies for
+the brute-force classifier. The walk is bounded by the base alone, at most
 265,934 states (base 36, under any limit), so the cycle budget counts only
 the words listed.
 
@@ -75,21 +75,35 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .core import Description, Word, _numeral_digits, _spell, _step, check_base, describe, digit_length
+from .core import (
+    Description,
+    Tally,
+    Word,
+    _numeral_digits,
+    _spell,
+    _step,
+    _tally,
+    _tally_image,
+    check_base,
+    describe,
+    digit_length,
+)
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 
 # The words the searches list (fixed points, or the words of the cycles), or
 # the letter tallies the brute-force classifier steps. The searches list fixed
 # points and cycles up to base 23 (about 165 MB and 205 MB) and refuse base 24
 # within 0.05 s, before a word is spelled. The classifier reaches the length
-# cap of every base up to 7 (346,103 tallies, 2.0 s, 67 MB on a 2-vCPU Xeon)
-# and refuses base 8 at its cap (2,220,074). A tally's step costs time that
-# grows with its length, so for the classifier the count bounds neither time
-# nor memory: base 2 to length 1412 (998,990 tallies) takes 60 s and 166 MB.
+# cap of every base up to 7 (346,103 tallies, 0.8 s, 16 MB on a 2-vCPU Xeon)
+# and refuses base 8 at its cap (2,220,074). It walks tallies of k letters,
+# but the first tally of each swept word costs time that grows with the
+# word's length, so for the classifier the count does not bound time: base 2
+# to length 1412 (998,990 tallies) takes 44 s, in 15 MB.
 DEFAULT_BUDGET = 10**6
 
-Tally = tuple[int, ...]  # letter counts indexed by letter, length base
-State = tuple[int, ...]  # a word or a count multiset, whichever _resolve_terminal walks
+# what _resolve_terminal walks: a letter tally in the classifier, a count
+# multiset in the cycle search (the tests' word-level references walk words)
+State = tuple[int, ...]
 
 
 class BudgetExceeded(RuntimeError):
@@ -332,8 +346,10 @@ def _resolve_terminal(
 ) -> int:
     """Cycle id of the orbit terminal from ``start`` under ``image``, caching every state seen.
 
-    States are words under ``_step`` or count multisets under ``_count_image``. A new
-    cycle is appended to ``registry`` as its states in orbit order; a cycle
+    States are letter tallies under ``_tally_image`` or count multisets under
+    ``_count_image``; any map of states to states will do, and the tests'
+    references walk words under ``_step``. A new cycle is appended to
+    ``registry`` as its states in orbit order; a cycle
     already in the registry is always hit through ``memo`` first, so no
     duplicates arise.
     """
@@ -416,13 +432,17 @@ def brute_force_classify(
 
     The completeness oracle for the description searches, which assumes only
     that step reads a word through its tally, so all words of one tally share
-    one image. For each length n the sweep steps one sorted word per tally of
-    n letters and resolves each image through ``_resolve_terminal``, with the
-    step guard at ``DEFAULT_MAX_STEPS``. A fixed word is the image of its own
-    tally, so it enters the registry as a cycle of period 1; the fixed points
-    are those of length <= max_len, and the cycles are the registered ones of
-    period >= 2. The budget caps the tallies stepped, C(max_len + k, k) - 1,
-    counted before the sweep.
+    one image. For each length n the sweep tallies one sorted word per tally
+    of n letters and walks the tally of its image to its terminal cycle
+    through ``_resolve_terminal`` under ``_tally_image``, with the step guard
+    at ``DEFAULT_MAX_STEPS``. So the memo and registry hold tallies of k
+    letters, never long words, and each registered cycle is spelled once at
+    the end: a tally cycle spells a word cycle of the same period, and
+    distinct tally cycles spell distinct word cycles. A fixed word is the
+    image of its own tally, so it enters the registry as a cycle of period 1;
+    the fixed points are those of length <= max_len, and the cycles are the
+    registered ones of period >= 2. The budget caps the tallies stepped,
+    C(max_len + k, k) - 1, counted before the sweep.
     """
     check_base(base)
     if max_len < 1:
@@ -431,14 +451,17 @@ def brute_force_classify(
     needed = comb(max_len + base, base) - 1
     if needed > allowed:
         raise BudgetExceeded(f"brute-force classification in base {base} needs {needed} tallies, budget is {allowed}")
-    memo: dict[Word, int] = {}
-    registry: list[tuple[Word, ...]] = []
+    memo: dict[Tally, int] = {}
+    registry: list[tuple[Tally, ...]] = []
     for n in range(1, max_len + 1):
         for word in combinations_with_replacement(range(base), n):
-            _resolve_terminal(_step(word, base), _step, base, memo, registry, DEFAULT_MAX_STEPS)
-    fixed = [words[0] for words in registry if len(words) == 1 and len(words[0]) <= max_len]
+            image = _tally_image(_tally(word, base), base)
+            _resolve_terminal(image, _tally_image, base, memo, registry, DEFAULT_MAX_STEPS)
+    # a fixed word's length is the sum of its tally
+    fixed = [_spell(cycle[0], base) for cycle in registry if len(cycle) == 1 and sum(cycle[0]) <= max_len]
     cycles = sorted(
-        (canonical_cycle(words, base) for words in registry if len(words) >= 2), key=cycle_sort_key
+        (canonical_cycle(tuple(_spell(t, base) for t in cycle), base) for cycle in registry if len(cycle) >= 2),
+        key=cycle_sort_key,
     )
     return ClassificationReport(
         base=base,

@@ -123,6 +123,48 @@ def test_search_walker_agrees_with_orbit(kw):
             _resolve_terminal(w, _step, base, {}, [], r.steps_taken - 1)
 
 
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("1111111110", (1, 1, 2)),
+        ("0" * 15 + "1" * 15, (2, 1, 3)),
+        ("1001110", (0, 1, 1)),
+    ],
+)
+def test_orbit_when_distinct_tallies_spell_one_word(text, expected):
+    # orbit steps tallies, and in base 2 the tallies (1, 9) and (3, 4) both
+    # spell 1001110, so the words can repeat a step before the tallies do;
+    # the first case repeats at the first image, the second one step later,
+    # and the third starts on the fixed word
+    r = orbit(parse_word(text, 2), 2)
+    assert (r.transient, r.period, r.steps_taken) == expected
+    assert [format_word(w) for w in r.cycle] == ["1001110"]
+
+
+def test_orbit_step_guard_matches_reference():
+    # about 300 seeded starts over bases 2..36, a third of them 200-2000
+    # letters long; under every step guard up to one past the repeat, orbit
+    # gives the reference's answer and raises exactly where the reference does
+    rng = random.Random(1117)
+    for i in range(300):
+        base = 2 + i % 35
+        length = rng.randint(200, 2000) if i % 3 == 0 else rng.randint(1, 40)
+        word = tuple(rng.randrange(base) for _ in range(length))
+        text = format_word(word)
+        steps = orbit(word, base).steps_taken
+        for max_steps in range(1, steps + 2):
+            if steps > max_steps:
+                with pytest.raises(OrbitLimitExceeded, match=f"no repeat within {max_steps} steps"):
+                    orbit(word, base, max_steps)
+                with pytest.raises(AssertionError):
+                    naive_orbit(text, base, max_steps)
+                continue
+            r = orbit(word, base, max_steps)
+            transient, period, cycle = naive_orbit(text, base, max_steps)
+            assert (r.transient, r.period, r.steps_taken) == (transient, period, steps), (base, text)
+            assert [format_word(w) for w in r.cycle] == cycle, (base, text)
+
+
 def test_orbit_start_recorded():
     w = parse_word("10", 2)
     assert orbit(w, 2).start == w

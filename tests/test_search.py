@@ -287,13 +287,13 @@ def test_brute_force_small():
 
 
 def test_brute_force_budget_guard(monkeypatch):
-    def no_step(word, base):
-        raise AssertionError("stepped a word over budget")
+    def no_tally(word, base):
+        raise AssertionError("tallied a word over budget")
 
     # the budget counts the letter tallies of length 1..max_len,
-    # C(max_len + k, k) - 1, before the sweep steps any word
+    # C(max_len + k, k) - 1, before the sweep tallies any word
     with monkeypatch.context() as patched:
-        patched.setattr(search, "_step", no_step)
+        patched.setattr(search, "_tally", no_tally)
         with pytest.raises(BudgetExceeded, match="base 3 needs 454 tallies, budget is 453"):
             brute_force_classify(3, 12, budget=453)
         with pytest.raises(BudgetExceeded):
