@@ -72,7 +72,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 from .core import (
@@ -82,7 +82,6 @@ from .core import (
     _numeral_digits,
     _spell,
     _step,
-    _tally,
     _tally_image,
     check_base,
     describe,
@@ -94,11 +93,9 @@ from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 # the letter tallies the brute-force classifier steps. The searches list fixed
 # points and cycles up to base 23 (about 165 MB and 205 MB) and refuse base 24
 # within 0.05 s, before a word is spelled. The classifier reaches the length
-# cap of every base up to 7 (346,103 tallies, 0.8 s, 16 MB on a 2-vCPU Xeon)
-# and refuses base 8 at its cap (2,220,074). It walks tallies of k letters,
-# but the first tally of each swept word costs time that grows with the
-# word's length, so for the classifier the count does not bound time: base 2
-# to length 1412 (998,990 tallies) takes 44 s, in 15 MB.
+# cap of every base up to 7 (346,103 tallies, 0.6 s, 16 MB on a 2-vCPU Xeon)
+# and refuses base 8 at its cap (2,220,074). Each tally costs O(k), whatever
+# its length: base 2 to length 1412 (998,990 tallies) takes about 2 s, in 15 MB.
 DEFAULT_BUDGET = 10**6
 
 # what _resolve_terminal walks: a letter tally in the classifier, a count
@@ -428,21 +425,21 @@ def brute_force_classify(
     *,
     budget: int | None = None,
 ) -> ClassificationReport:
-    """Classify every nonempty word up to max_len by stepping one word per letter tally.
+    """Classify every nonempty word up to max_len by walking the image of each letter tally.
 
     The completeness oracle for the description searches, which assumes only
     that step reads a word through its tally, so all words of one tally share
-    one image. For each length n the sweep tallies one sorted word per tally
-    of n letters and walks the tally of its image to its terminal cycle
-    through ``_resolve_terminal`` under ``_tally_image``, with the step guard
-    at ``DEFAULT_MAX_STEPS``. So the memo and registry hold tallies of k
-    letters, never long words, and each registered cycle is spelled once at
-    the end: a tally cycle spells a word cycle of the same period, and
-    distinct tally cycles spell distinct word cycles. A fixed word is the
-    image of its own tally, so it enters the registry as a cycle of period 1;
-    the fixed points are those of length <= max_len, and the cycles are the
-    registered ones of period >= 2. The budget caps the tallies stepped,
-    C(max_len + k, k) - 1, counted before the sweep.
+    one image. The sweep runs once per tally of 1..max_len letters, the
+    C(max_len + k, k) - 1 that the budget caps before it starts: each pass
+    advances one tally of k letters like an odometer, in O(k) whatever its
+    length, and walks the tally of its image to its terminal cycle through
+    ``_resolve_terminal`` under ``_tally_image``, with the step guard at
+    ``DEFAULT_MAX_STEPS``. So no word is built until the end, where each
+    registered cycle is spelled once: a tally cycle spells a word cycle of
+    the same period, and distinct tally cycles spell distinct word cycles. A
+    fixed word is the image of its own tally, so it enters the registry as a
+    cycle of period 1; the fixed points are those of length <= max_len, and
+    the cycles are the registered ones of period >= 2.
     """
     check_base(base)
     if max_len < 1:
@@ -453,10 +450,18 @@ def brute_force_classify(
         raise BudgetExceeded(f"brute-force classification in base {base} needs {needed} tallies, budget is {allowed}")
     memo: dict[Tally, int] = {}
     registry: list[tuple[Tally, ...]] = []
-    for n in range(1, max_len + 1):
-        for word in combinations_with_replacement(range(base), n):
-            image = _tally_image(_tally(word, base), base)
-            _resolve_terminal(image, _tally_image, base, memo, registry, DEFAULT_MAX_STEPS)
+    tally = [0] * base  # an odometer, letter 0 counting fastest
+    total = 0
+    for _ in range(needed):
+        b = 0
+        while total == max_len:  # a full tally empties its lowest letters
+            total -= tally[b]
+            tally[b] = 0
+            b += 1
+        tally[b] += 1
+        total += 1
+        # the memo keeps the fresh image tuple, never the reused list
+        _resolve_terminal(_tally_image(tally, base), _tally_image, base, memo, registry, DEFAULT_MAX_STEPS)
     # a fixed word's length is the sum of its tally
     fixed = [_spell(cycle[0], base) for cycle in registry if len(cycle) == 1 and sum(cycle[0]) <= max_len]
     cycles = sorted(

@@ -12,7 +12,7 @@ from peadyn import (
     render,
     step,
 )
-from peadyn.core import _spell, check_word
+from peadyn.core import _spell, _tally, _tally_image, check_word
 from peadyn.golden import EXPECTED_FIXED_POINTS
 from reference import ALPHABET, check_word_by_letter, naive_step, to_base
 
@@ -130,6 +130,18 @@ def test_spell_counts_at_the_base_boundary(base):
         to_base(tally[b], base) + ALPHABET[b] for b in range(base - 1, -1, -1) if tally[b]
     )
     assert format_word(_spell(tally, base)) == expected
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(2, 36).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k * k + 1), min_size=k, max_size=k))
+    )
+)
+def test_tally_image_is_the_tally_of_the_spelling(case):
+    # counts up to k^2 + 1 reach numerals of one, two and three digits
+    base, tally = case
+    assert _tally_image(tally, base) == tuple(_tally(_spell(tally, base), base))
 
 
 @settings(max_examples=300)

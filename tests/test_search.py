@@ -1,7 +1,8 @@
 import gc
 import time
 from collections import Counter
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -150,7 +151,8 @@ def test_fixed_points_match_direct_image_sweep(base):
     assert swept == enumerate_fixed_points(base)
 
 
-@pytest.mark.parametrize("base,max_len", [(2, 8), (3, 9)])
+# at the cap, and far past it, where the sweep's carries run long
+@pytest.mark.parametrize("base,max_len", [(2, 8), (3, 9), (2, 500), (3, 100)])
 def test_search_matches_brute_force(base, max_len):
     report = brute_force_classify(base, max_len)
     assert set(report.fixed_points) == enumerate_fixed_points(base)
@@ -287,13 +289,13 @@ def test_brute_force_small():
 
 
 def test_brute_force_budget_guard(monkeypatch):
-    def no_tally(word, base):
+    def no_tally(tally, base):
         raise AssertionError("tallied a word over budget")
 
     # the budget counts the letter tallies of length 1..max_len,
-    # C(max_len + k, k) - 1, before the sweep tallies any word
+    # C(max_len + k, k) - 1, before the sweep steps any tally
     with monkeypatch.context() as patched:
-        patched.setattr(search, "_tally", no_tally)
+        patched.setattr(search, "_tally_image", no_tally)
         with pytest.raises(BudgetExceeded, match="base 3 needs 454 tallies, budget is 453"):
             brute_force_classify(3, 12, budget=453)
         with pytest.raises(BudgetExceeded):
@@ -302,6 +304,22 @@ def test_brute_force_budget_guard(monkeypatch):
             brute_force_classify(8, 19)
     assert brute_force_classify(3, 12, budget=454) == brute_force_classify(3, 12)
     assert brute_force_classify(2, 8, budget=44) == brute_force_classify(2, 8)
+
+
+def test_brute_force_sweeps_each_tally_once(monkeypatch):
+    # the sweep hands _tally_image its reused list, the walk hands it tuples
+    swept = []
+    tally_image = search._tally_image
+
+    def recording(tally, base):
+        if isinstance(tally, list):
+            swept.append(tuple(tally))
+        return tally_image(tally, base)
+
+    monkeypatch.setattr(search, "_tally_image", recording)
+    brute_force_classify(3, 7)
+    assert len(swept) == comb(7 + 3, 3) - 1
+    assert set(swept) == {t for t in product(range(8), repeat=3) if 0 < sum(t) <= 7}
 
 
 def test_fixed_point_search_budget_guard():
@@ -554,7 +572,7 @@ def test_tally_oracle_matches_searches(base):
     )
 )
 def test_step_reads_only_the_tally(case):
-    # what lets the tally oracle step one sorted word per tally
+    # all words of one tally share one image, so the tally oracle walks tallies, not words
     base, letters = case
     assert step(tuple(sorted(letters)), base) == step(tuple(letters), base)
 
