@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from peadyn import MAX_BASE, MIN_BASE, canonical_cycle, format_word, length_bound, orbit
+from peadyn import DEFAULT_MAX_STEPS, MAX_BASE, MIN_BASE, canonical_cycle, format_word, length_bound, orbit
 
 
 def _bases(text: str) -> tuple[int, ...]:
@@ -67,7 +67,7 @@ def main() -> int:
                         help="start words are 1..this long (default %(default)s)")
     parser.add_argument("--bases", type=_bases, default="2,3,4,5,6",
                         help="comma separated bases (default %(default)s)")
-    parser.add_argument("--max-steps", type=_positive_int, default=10000)
+    parser.add_argument("--max-steps", type=_positive_int, default=DEFAULT_MAX_STEPS)
     cfg = parser.parse_args()
     rng = random.Random(cfg.seed)
     print(f"seed {cfg.seed}, {cfg.samples} samples per base, lengths 1..{cfg.max_length}")

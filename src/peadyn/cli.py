@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -28,7 +27,6 @@ EXIT_INVALID = 2
 EXIT_ORBIT_LIMIT = 3
 EXIT_BUDGET = 4
 
-BUDGET_ENV = "PEADYN_BUDGET"
 FORMATS = ("json", "csv", "table")
 # the exit code for each error a command reports, matched in this order
 ERROR_EXITS = {ValueError: EXIT_INVALID, OrbitLimitExceeded: EXIT_ORBIT_LIMIT, BudgetExceeded: EXIT_BUDGET,
@@ -67,16 +65,11 @@ def _key_values(pairs: list[tuple[str, object]]) -> list[str]:
     return [f"{key:<{width}}{value}" for key, value in pairs]
 
 
-def _int_at_least(low: int, kind: str):
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
-        return value
-
-    # argparse names the type in its "invalid ... value" message
-    parse.__name__ = f"_{kind}_int"
-    return parse
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
 
 
 def _base_list(text: str) -> tuple[int, ...]:
@@ -86,20 +79,6 @@ def _base_list(text: str) -> tuple[int, ...]:
             choices = ",".join(str(b) for b in sorted(EXPECTED_FIXED_POINTS))
             raise argparse.ArgumentTypeError(f"no expected table for base {k} (have {choices})")
     return bases
-
-
-def _env_budget() -> int | None:
-    """The budget from the environment, or None for each search's own default."""
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{BUDGET_ENV} must be positive, got {value}")
-    return value
 
 
 def cmd_step(args: argparse.Namespace) -> Result:
@@ -120,7 +99,7 @@ def cmd_orbit(args: argparse.Namespace) -> Result:
 
 
 def cmd_fixed_points(args: argparse.Namespace) -> Result:
-    limit = (args.length_limit or length_bound(args.base).length_bound) + args.margin
+    limit = args.length_limit or length_bound(args.base).length_bound
     if args.count:
         count = count_fixed_points(args.base, limit)
         payload = {"base": args.base, "bound": limit, "count": count}
@@ -133,7 +112,7 @@ def cmd_fixed_points(args: argparse.Namespace) -> Result:
 
 
 def cmd_cycles(args: argparse.Namespace) -> Result:
-    limit = (args.length_limit or length_bound(args.base).length_bound) + args.margin
+    limit = args.length_limit or length_bound(args.base).length_bound
     records = enumerate_cycles(args.base, limit, budget=args.budget)
     cycles = [(c.period, [format_word(w) for w in c.words]) for c in sorted(records, key=cycle_sort_key)]
     payload = {"base": args.base, "length_limit": limit,
@@ -169,9 +148,8 @@ def cmd_verify_table(args: argparse.Namespace) -> Result:
     results = []
     lines = []
     for base in args.bases:
-        limit = length_bound(base).length_bound + args.margin
         expected, corrupt = _load_golden(base)
-        found = enumerate_fixed_points(base, limit, budget=args.budget)
+        found = enumerate_fixed_points(base)
         missing = [format_word(w) for w in sorted(found - expected, key=word_sort_key)]
         extra = [format_word(w) for w in sorted(expected - found, key=word_sort_key)] + sorted(corrupt)
         status = "fail" if missing or extra else "pass"
@@ -195,9 +173,6 @@ def cmd_bound(args: argparse.Namespace) -> Result:
     return Result(payload, tuple(payload), [fields], _key_values(list(payload.items())[1:]))
 
 
-_positive_int = _int_at_least(1, "positive")
-_nonnegative_int = _int_at_least(0, "nonnegative")
-
 # every option once, as its flags and its add_argument keywords
 OPTIONS = {
     "base": (("--base", "-k"), dict(type=int, required=True, help="alphabet size, 2..36")),
@@ -206,10 +181,9 @@ OPTIONS = {
     "max_steps": (("--max-steps",), dict(type=_positive_int, default=DEFAULT_MAX_STEPS,
                                          help="orbit step budget (default %(default)s)")),
     "length_limit": (("--length-limit",), dict(type=_positive_int, help="length cap (default: the bound)")),
-    "margin": (("--margin",), dict(type=_nonnegative_int, default=0, help="extra length over the cap")),
     "budget": (("--budget",), dict(type=_positive_int,
                                    help=f"most words a search lists, fixed point or cycle words; lists both "
-                                        f"up to base 23 (default {DEFAULT_BUDGET}); env {BUDGET_ENV}")),
+                                        f"up to base 23 (default {DEFAULT_BUDGET})")),
     "count": (("--count",), dict(action="store_true",
                                  help="print how many fixed points there are, not the list; no budget")),
     "bases": (("--bases",), dict(type=_base_list, default=tuple(sorted(EXPECTED_FIXED_POINTS)),
@@ -224,11 +198,11 @@ COMMANDS = {
     "orbit": (cmd_orbit, "iterate to the first repeat and report the cycle",
               "base word max_steps format output"),
     "fixed-points": (cmd_fixed_points, "enumerate every self-describing word",
-                     "base length_limit margin budget count format output"),
+                     "base length_limit budget count format output"),
     "cycles": (cmd_cycles, "enumerate every cycle of period 2 or more",
-               "base length_limit margin budget format output"),
+               "base length_limit budget format output"),
     "verify-table": (cmd_verify_table, "check enumeration against the shipped table",
-                     "bases margin budget format output"),
+                     "bases format output"),
     "bound": (cmd_bound, "print the eventual length bound and word count", "base format output"),
 }
 
@@ -249,9 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # --count lists nothing, so it takes no budget
-        if "budget" in args and args.budget is None and not getattr(args, "count", False):
-            args.budget = _env_budget()
         return _emit(args.handler(args), args)
     except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)

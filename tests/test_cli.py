@@ -129,7 +129,7 @@ def test_fixed_points_count_equals_list_length(capsys, base):
 
 
 def test_fixed_points_base2_far_past_the_cap(capsys):
-    code, out, _ = run(capsys, "fixed-points", "-k", "2", "--margin", "3000", "--count", "--format", "csv")
+    code, out, _ = run(capsys, "fixed-points", "-k", "2", "--length-limit", "3008", "--count", "--format", "csv")
     assert code == 0
     assert out == "base,bound,count\n2,3008,2\n"
 
@@ -216,12 +216,6 @@ def test_verify_table_bases_2_to_5_pass(capsys):
     assert out.splitlines()[-1] == "overall: PASS"
 
 
-def test_verify_table_margin(capsys):
-    code, out, _ = run(capsys, "verify-table", "--bases", "2,3,4", "--margin", "4", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["all_pass"] is True
-
-
 def test_verify_table_csv(capsys):
     code, out, _ = run(capsys, "verify-table", "--bases", "2,6", "--format", "csv")
     assert code == 1
@@ -289,35 +283,21 @@ def test_output_file(capsys, tmp_path):
     assert target.read_text() == "base,word,length\n2,111,3\n2,1001110,7\n"
 
 
-def test_budget_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv(cli.BUDGET_ENV, "10")
-    code, _, err = run(capsys, "fixed-points", "-k", "6")
-    assert code == 4
-    assert "budget" in err
-
-
-def test_budget_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv(cli.BUDGET_ENV, "lots")
-    code, _, err = run(capsys, "fixed-points", "-k", "2")
-    assert code == 2
-    assert cli.BUDGET_ENV in err
-
-
-def test_budget_env_ignored_without_search(capsys, monkeypatch):
-    for argv in (("step", "-k", "2", "-w", "10"), ("orbit", "-k", "2", "-w", "10"), ("bound", "-k", "2"),
-                 ("fixed-points", "-k", "3", "--count")):
-        monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
-        unset = run(capsys, *argv, "--format", "json")
-        monkeypatch.setenv(cli.BUDGET_ENV, "lots")
-        assert unset[0] == 0
-        assert run(capsys, *argv, "--format", "json") == unset
-
-
-def test_budget_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv(cli.BUDGET_ENV, "10")
-    code, out, _ = run(capsys, "fixed-points", "-k", "6", "--budget", "100000000", "--format", "json")
+def test_budget_environment_variable_is_not_read(capsys, monkeypatch):
+    monkeypatch.setenv("PEADYN_BUDGET", "lots")
+    code, out, _ = run(capsys, "fixed-points", "-k", "6", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["fixed_points"]) == 19
+
+
+def test_budget_flag(capsys):
+    code, out, _ = run(capsys, "fixed-points", "-k", "6", "--budget", "19", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["fixed_points"]) == 19
+    code, out, err = run(capsys, "fixed-points", "-k", "6", "--budget", "18")
+    assert code == 4
+    assert out == ""
+    assert "budget is 18" in err
 
 
 def test_output_to_missing_directory_is_invalid_input(capsys, tmp_path):

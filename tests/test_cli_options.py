@@ -14,9 +14,8 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_fixed_points_length_limit_plus_margin(capsys):
-    code, out, _ = run(capsys, "fixed-points", "-k", "4", "--length-limit", "6", "--margin", "2",
-                       "--format", "json")
+def test_fixed_points_length_limit(capsys):
+    code, out, _ = run(capsys, "fixed-points", "-k", "4", "--length-limit", "8", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     expected = [format_word(w) for w in sorted(enumerate_fixed_points(4, 8), key=word_sort_key)]
@@ -46,6 +45,22 @@ def test_cycles_max_steps_exit_code(capsys):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "unrecognized arguments: --max-steps 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-table", "--margin", "4"],
+    ["verify-table", "--budget", "1"],
+    ["fixed-points", "-k", "2", "--margin", "1"],
+    ["cycles", "-k", "3", "--margin", "1"],
+])
+def test_removed_options_rejected(capsys, argv):
+    # --length-limit is the one way to search above the cap, and verify-table lists at most 19 words
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
 
 def test_output_file_json(capsys, tmp_path):
