@@ -101,6 +101,8 @@ def cmd_orbit(args: argparse.Namespace) -> Result:
 def cmd_fixed_points(args: argparse.Namespace) -> Result:
     limit = args.length_limit or length_bound(args.base).length_bound
     if args.count:
+        if args.budget is not None:
+            raise ValueError("--count lists no word, so it takes no --budget")
         count = count_fixed_points(args.base, limit)
         payload = {"base": args.base, "bound": limit, "count": count}
         line = f"base {args.base}: {count} fixed points of length <= {limit}"

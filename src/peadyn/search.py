@@ -66,6 +66,14 @@ nondecreasing tuples, with two cuts:
   the core size plus m1 passes k no longer core comes back under it. This
   alone keeps the walk finite with no length limit: c - len(c) - 1 <= k caps
   every count at about k + 3.
+
+A third cut spares h itself. Let F be the digit support of the core's
+numerals. The numerals of M have support F plus the letter 1 if m1 > 0, h
+gives each letter of that support a count >= 2 and every other letter 1, so
+h(M) = M only if that support has exactly len(core) letters. The walk
+carries F down as a digit tally and its number of letters, updated as each
+count is pushed and popped, and calls h only on the candidates that pass:
+52,922 of the 517,905 cores of bases 2..36.
 """
 
 from __future__ import annotations
@@ -199,29 +207,46 @@ def _slack(description: Description) -> int:
     return slack
 
 
-def _fixed_point_cores(
+def _fixed_point_walk(
     base: int,
     limit: int,
-    low: int = 2,
-    core: tuple[int, ...] = (),
-    length: int = 0,
-    ones: int = 0,
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (core, m1) for every core that extends ``core`` by counts >= low.
+    families: list[tuple[tuple[Tally, ...], int]],
+    low: int,
+    core: tuple[int, ...],
+    length: int,
+    ones: int,
+    digits: list[int],
+    letters: int,
+) -> None:
+    """Append the family of every fixed point whose core extends ``core`` by counts >= low.
 
-    ``length`` is the sum of ``core`` and ``ones`` its m1 so far. The cores
-    come as nondecreasing tuples, and only those that the cuts of the module
-    docstring leave standing.
+    ``length`` is the sum of ``core``, ``ones`` its m1 so far, ``digits`` the
+    tally of its numerals' digits and ``letters`` the size of their support F.
+    The cores come as nondecreasing tuples, and only those that the cuts of
+    the module docstring leave standing reach ``_count_image``.
     """
+    size = len(core) + 1  # of each grown core
+    if size > base:
+        return
     for c in range(low, limit + 1):
-        extra = c - digit_length(c, base) - 1  # what c adds to m1
-        if length + c + ones + extra > limit:
+        numeral = _numeral_digits(c, base)
+        extra = c - len(numeral) - 1  # what c adds to m1
+        m1 = ones + extra
+        if length + c + m1 > limit or (extra >= 0 and size + m1 > base):
             return
+        for d in numeral:
+            letters += not digits[d]
+            digits[d] += 1
+        # the support cut: h gives each letter of F, and the 1 of a count of 1, a count >= 2
         grown = core + (c,)
-        if len(grown) > base or (extra >= 0 and len(grown) + ones + extra > base):
-            return
-        yield grown, ones + extra
-        yield from _fixed_point_cores(base, limit, c, grown, length + c, ones + extra)
+        if m1 >= 0 and letters + (m1 > 0 and not digits[1]) == size:
+            counts = (1,) * m1 + grown
+            if _count_image(counts, base) == counts:
+                families.append(_family((counts,), base))
+        _fixed_point_walk(base, limit, families, c, grown, length + c, m1, digits, letters)
+        for d in numeral:
+            digits[d] -= 1
+            letters -= not digits[d]
 
 
 def _fixed_point_families(base: int, length_limit: int | None) -> list[tuple[tuple[Tally, ...], int]]:
@@ -230,12 +255,8 @@ def _fixed_point_families(base: int, length_limit: int | None) -> list[tuple[tup
     limit = length_bound(base).length_bound if length_limit is None else length_limit
     if limit < 1:
         raise ValueError(f"length limit must be positive, got {limit}")
-    families = []
-    for core, ones in _fixed_point_cores(base, limit):
-        if ones >= 0:
-            counts = (1,) * ones + core
-            if _count_image(counts, base) == counts:
-                families.append(_family((counts,), base))
+    families: list[tuple[tuple[Tally, ...], int]] = []
+    _fixed_point_walk(base, limit, families, 2, (), 0, 0, [0] * base, 0)
     return families
 
 

@@ -146,6 +146,18 @@ def test_fixed_points_base36_counts_but_exceeds_budget(capsys):
     assert out == "base 36: 4294967926 fixed points of length <= 75\n"
 
 
+def test_fixed_points_count_takes_no_budget(capsys):
+    # --count lists no word, so a budget could change nothing: the pair is refused
+    for base, budget in (("36", "1"), ("6", str(cli.DEFAULT_BUDGET))):
+        code, out, err = run(capsys, "fixed-points", "-k", base, "--count", "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --count lists no word, so it takes no --budget\n"
+    code, out, err = run(capsys, "fixed-points", "-k", "36", "--count", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"base": 36, "bound": 75, "count": 4294967926}
+
+
 def test_cycles_base2_empty(capsys):
     code, out, _ = run(capsys, "cycles", "-k", "2", "--format", "table")
     assert code == 0

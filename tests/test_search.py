@@ -530,6 +530,27 @@ def test_fixed_point_counts_match_frozen_search(base, count):
     assert count_fixed_points(base) == count
 
 
+def test_fixed_point_counts_of_every_base():
+    # observed, not derived: 2 and 7 at bases 2 and 3, then 2^(k - 4) + C(k, 2)
+    counts = [count_fixed_points(k) for k in range(2, 37)]
+    assert counts == [2, 7] + [2 ** (k - 4) + comb(k, 2) for k in range(4, 37)]
+
+
+def test_support_cut_spares_count_image(monkeypatch):
+    # h runs only on cores whose digit support, with the 1 of a count of 1,
+    # has one letter per core count: 2,076 candidates, not 11,038 without the cut
+    candidates = []
+
+    def recording(counts, base):
+        candidates.append(counts)
+        return _count_image(counts, base)
+
+    monkeypatch.setattr(search, "_count_image", recording)
+    for base in range(2, 21):
+        count_fixed_points(base)
+    assert len(candidates) == 2076
+
+
 def test_default_budget_lists_base_23_and_refuses_base_24():
     # the default keeps a listing in memory: base 24 fails before a word is rendered
     assert count_fixed_points(23) <= DEFAULT_BUDGET < count_fixed_points(24)
