@@ -82,6 +82,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import add
 
 from .core import (
     Description,
@@ -98,12 +99,12 @@ from .core import (
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 
 # The words the searches list (fixed points, or the words of the cycles), or
-# the letter tallies the brute-force classifier steps. The searches list fixed
+# the letter tallies the brute-force classifier covers. The searches list fixed
 # points and cycles up to base 23 (about 165 MB and 205 MB) and refuse base 24
 # within 0.05 s, before a word is spelled. The classifier reaches the length
-# cap of every base up to 7 (346,103 tallies, 0.6 s, 16 MB on a 2-vCPU Xeon)
-# and refuses base 8 at its cap (2,220,074). Each tally costs O(k), whatever
-# its length: base 2 to length 1412 (998,990 tallies) takes about 2 s, in 15 MB.
+# cap of every base up to 7 (346,103 tallies, 0.03 s, 16 MB on a 2-vCPU Xeon)
+# and refuses base 8 at its cap (2,220,074). It walks only the tallies' first
+# images, so base 2 to length 1412 (998,990 tallies) takes 0.01 s, in 15 MB.
 DEFAULT_BUDGET = 10**6
 
 # what _resolve_terminal walks: a letter tally in the classifier, a count
@@ -115,7 +116,7 @@ class BudgetExceeded(RuntimeError):
     """The requested search is larger than its budget.
 
     The fixed point and cycle searches count the words they would list; the
-    brute-force classifier counts the letter tallies it would step.
+    brute-force classifier counts the letter tallies it would cover.
     """
 
 
@@ -446,21 +447,31 @@ def brute_force_classify(
     *,
     budget: int | None = None,
 ) -> ClassificationReport:
-    """Classify every nonempty word up to max_len by walking the image of each letter tally.
+    """Classify every nonempty word up to max_len by walking the first images of its letter tallies.
 
-    The completeness oracle for the description searches, which assumes only
-    that step reads a word through its tally, so all words of one tally share
-    one image. The sweep runs once per tally of 1..max_len letters, the
-    C(max_len + k, k) - 1 that the budget caps before it starts: each pass
-    advances one tally of k letters like an odometer, in O(k) whatever its
-    length, and walks the tally of its image to its terminal cycle through
-    ``_resolve_terminal`` under ``_tally_image``, with the step guard at
-    ``DEFAULT_MAX_STEPS``. So no word is built until the end, where each
-    registered cycle is spelled once: a tally cycle spells a word cycle of
-    the same period, and distinct tally cycles spell distinct word cycles. A
-    fixed word is the image of its own tally, so it enters the registry as a
-    cycle of period 1; the fixed points are those of length <= max_len, and
-    the cycles are the registered ones of period >= 2.
+    The completeness oracle for the description searches. It assumes only
+    that step reads a word through its tally, and that the tally of the
+    image is 1 on the set S of letters present plus the digit tally of their
+    count multiset M (``_tally_image``). So the C(max_len + k, k) - 1 tallies
+    of 1..max_len letters, which the budget caps before anything is
+    enumerated, have far fewer first images: 82 for the 454 tallies of
+    (3, 12), 6,461 for the 346,103 of the base-7 cap. For each r the sweep
+    builds the distinct digit tallies of the r-count multisets with sum <=
+    max_len, one count at a time, each kept with the least sum that gives
+    it; it adds 1 on each r-letter set S and walks the result to its
+    terminal cycle through ``_resolve_terminal`` under ``_tally_image``,
+    with the step guard at ``DEFAULT_MAX_STEPS``. Each (S, digit tally)
+    pair comes from a distinct tally, so it walks no more than the budget
+    counts.
+
+    The report is that of a sweep over every tally: a fixed word is the
+    image of its own tally, and each word of a cycle is the image of the
+    word before it. No word is built until the end, where each registered
+    cycle is spelled once: a tally cycle spells a word cycle of the same
+    period, and distinct tally cycles spell distinct word cycles. A fixed
+    word enters the registry as a cycle of period 1; the fixed points are
+    those of length <= max_len, and the cycles are the registered ones of
+    period >= 2.
     """
     check_base(base)
     if max_len < 1:
@@ -469,20 +480,33 @@ def brute_force_classify(
     needed = comb(max_len + base, base) - 1
     if needed > allowed:
         raise BudgetExceeded(f"brute-force classification in base {base} needs {needed} tallies, budget is {allowed}")
+    # the least count with each digit tally, in increasing order: a multiset
+    # that swaps a count for it keeps its digit tally and lowers its sum
+    least: dict[Tally, int] = {}
+    for c in range(1, max_len + 1):
+        numeral = [0] * base
+        for d in _numeral_digits(c, base):
+            numeral[d] += 1
+        least.setdefault(tuple(numeral), c)
     memo: dict[Tally, int] = {}
     registry: list[tuple[Tally, ...]] = []
-    tally = [0] * base  # an odometer, letter 0 counting fastest
-    total = 0
-    for _ in range(needed):
-        b = 0
-        while total == max_len:  # a full tally empties its lowest letters
-            total -= tally[b]
-            tally[b] = 0
-            b += 1
-        tally[b] += 1
-        total += 1
-        # the memo keeps the fresh image tuple, never the reused list
-        _resolve_terminal(_tally_image(tally, base), _tally_image, base, memo, registry, DEFAULT_MAX_STEPS)
+    room = {(0,) * base: max_len}  # digit tally of r counts -> max_len less the least sum that gives it
+    for r in range(1, min(base, max_len) + 1):
+        grown: dict[Tally, int] = {}
+        for digits, left in room.items():
+            for numeral, c in least.items():
+                if c > left:
+                    break
+                key = tuple(map(add, digits, numeral))
+                if grown.get(key, -1) < left - c:
+                    grown[key] = left - c
+        room = grown
+        for letters in combinations(range(base), r):
+            ones = [0] * base
+            for b in letters:
+                ones[b] = 1
+            for digits in room:
+                _resolve_terminal(tuple(map(add, digits, ones)), _tally_image, base, memo, registry, DEFAULT_MAX_STEPS)
     # a fixed word's length is the sum of its tally
     fixed = [_spell(cycle[0], base) for cycle in registry if len(cycle) == 1 and sum(cycle[0]) <= max_len]
     cycles = sorted(
