@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import NamedTuple
 
 from .core import Word, format_word, parse_word, step
@@ -53,7 +52,8 @@ def _emit(result: Result, args: argparse.Namespace) -> int:
     else:
         text = "".join(line + "\n" for line in result.lines)
     if args.output:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as out:
+            out.write(text)
     else:
         sys.stdout.write(text)
     return result.code

@@ -8,7 +8,6 @@ are significant, so (0, 1, 1, 0) and (1, 1, 0) are different states.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -97,34 +96,41 @@ class Block(NamedTuple):
     letter: int
 
 
-@dataclass(frozen=True)
-class Description:
+class _DescriptionFields(NamedTuple):
+    blocks: tuple[Block, ...]
+    base: int
+
+
+class Description(_DescriptionFields):
     """Block list with strictly descending letters, the shape of every image.
 
     Every output of the step map renders exactly one description, and a fixed
     point is a word that renders its own.
     """
 
-    blocks: tuple[Block, ...]
-    base: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_base(self.base)
-        if not self.blocks:
+    def __new__(cls, blocks: tuple[Block, ...], base: int) -> Description:
+        check_base(base)
+        if not blocks:
             raise ValueError("description needs at least one block")
-        if len(self.blocks) > self.base:
-            raise ValueError(
-                f"{len(self.blocks)} blocks cannot have distinct letters in base {self.base}"
-            )
-        prev = self.base
-        for count, letter in self.blocks:
+        if len(blocks) > base:
+            raise ValueError(f"{len(blocks)} blocks cannot have distinct letters in base {base}")
+        prev = base
+        for count, letter in blocks:
             if count < 1:
                 raise ValueError(f"block counts must be positive, got {count}")
-            if letter < 0 or letter >= self.base:
-                raise ValueError(f"letter {letter} out of range for base {self.base}")
+            if letter < 0 or letter >= base:
+                raise ValueError(f"letter {letter} out of range for base {base}")
             if letter >= prev:
                 raise ValueError("block letters must be strictly descending")
             prev = letter
+        return super().__new__(cls, blocks, base)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Description:
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
 
 def describe(word: Word, base: int) -> Description:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Word, _spell, _tally, _tally_image, check_base, check_word
 
@@ -13,8 +13,7 @@ class OrbitLimitExceeded(RuntimeError):
     """No repeat within the step budget. The budget is a guard, not a bound."""
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(NamedTuple):
     """Exact decomposition of a forward orbit into transient and cycle.
 
     ``cycle`` starts at the first cycle element the orbit reached, and
@@ -29,8 +28,7 @@ class OrbitResult:
     steps_taken: int
 
 
-@dataclass(frozen=True)
-class BoundInfo:
+class BoundInfo(NamedTuple):
     base: int
     length_bound: int
     words_up_to_bound: int

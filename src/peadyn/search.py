@@ -78,11 +78,11 @@ count is pushed and popped, and calls h only on the candidates that pass:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from itertools import combinations
 from math import comb
 from operator import add
+from typing import NamedTuple
 
 from .core import (
     Description,
@@ -120,8 +120,13 @@ class BudgetExceeded(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class _CycleRecordFields(NamedTuple):
+    base: int
+    period: int
+    words: tuple[Word, ...]
+
+
+class CycleRecord(_CycleRecordFields):
     """A period-p cycle, rotated so the smallest word comes first.
 
     Words compare by letter sequence, then length (plain tuple order), which
@@ -129,18 +134,22 @@ class CycleRecord:
     produce equal records.
     """
 
-    base: int
-    period: int
-    words: tuple[Word, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_base(self.base)
-        if self.period < 1 or self.period != len(self.words):
+    def __new__(cls, base: int, period: int, words: tuple[Word, ...]) -> CycleRecord:
+        check_base(base)
+        if period < 1 or period != len(words):
             raise ValueError("period must match the number of words")
-        if len(set(self.words)) != self.period:
+        if len(set(words)) != period:
             raise ValueError("cycle words must be distinct")
-        if min(self.words) != self.words[0]:
+        if min(words) != words[0]:
             raise ValueError("cycle must start at its smallest word")
+        return super().__new__(cls, base, period, words)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CycleRecord:
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
     def closes_under_step(self) -> bool:
         return all(
@@ -149,8 +158,7 @@ class CycleRecord:
         )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Everything the brute-force classifier found: fixed points plus period >= 2 cycles."""
 
     base: int

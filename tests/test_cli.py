@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -369,3 +370,16 @@ def test_console_script_help():
     for name in ("step", "orbit", "fixed-points", "cycles", "verify-table", "bound"):
         assert name in proc.stdout
 
+
+def test_cold_import_loads_no_dataclasses_inspect_or_pathlib():
+    # -S keeps site's own imports out, so sys.modules shows what peadyn.cli pulls in
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, peadyn.cli; print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
