@@ -108,7 +108,7 @@ from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 DEFAULT_BUDGET = 10**6
 
 # what _resolve_terminal walks: a letter tally in the classifier, a count
-# multiset in the cycle search (the tests' word-level references walk words)
+# multiset in the cycle search (a word in the test that checks it against orbit)
 State = tuple[int, ...]
 
 
@@ -374,11 +374,10 @@ def _resolve_terminal(
     """Cycle id of the orbit terminal from ``start`` under ``image``, caching every state seen.
 
     States are letter tallies under ``_tally_image`` or count multisets under
-    ``_count_image``; any map of states to states will do, and the tests'
-    references walk words under ``_step``. A new cycle is appended to
-    ``registry`` as its states in orbit order; a cycle
-    already in the registry is always hit through ``memo`` first, so no
-    duplicates arise.
+    ``_count_image``; any map of states to states will do, and one test walks
+    words under ``_step`` to check it against ``orbit``. A new cycle is
+    appended to ``registry`` as its states in orbit order; a cycle already in
+    the registry is always hit through ``memo`` first, so no duplicates arise.
     """
     cid = memo.get(start)
     if cid is not None:

@@ -1,8 +1,10 @@
 """Reference implementations the tests check the package against.
 
-``naive_step`` and ``naive_orbit`` use deliberately different machinery:
-Counter over characters, string concatenation, recursion-free numeral
-building. Slow and obviously correct. ``check_word_by_letter`` is the
+Nothing here imports peadyn: every word is text, and the only step map is
+``naive_step``, which uses deliberately different machinery: Counter over
+characters, string concatenation, recursion-free numeral building. Slow and
+obviously correct. ``terminal_cycle`` is the one walker that every
+word-level check below uses. ``check_word_by_letter`` is the
 letter-by-letter word check the package's set test must agree with.
 
 ``description_space_fixed_points`` is the fixed point search the package used
@@ -15,16 +17,6 @@ checks the paper's base-2 claim word by word.
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
-
-from peadyn.core import Block, Description, _step, digit_length, render
-from peadyn.dynamics import DEFAULT_MAX_STEPS
-from peadyn.search import (
-    ClassificationReport,
-    _resolve_terminal,
-    canonical_cycle,
-    cycle_sort_key,
-    word_sort_key,
-)
 
 ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -66,6 +58,38 @@ def naive_orbit(word: str, base: int, max_steps: int = 10000):
     raise AssertionError(f"no repeat within {max_steps} steps")
 
 
+def rotated(cycle):
+    pivot = cycle.index(min(cycle))
+    return cycle[pivot:] + cycle[:pivot]
+
+
+def terminal_cycle(word, base, terminal):
+    """The cycle the orbit of ``word`` ends in, as a tuple turned to start at its smallest word.
+
+    Steps with ``naive_step`` until a word repeats or reaches a word an
+    earlier walk resolved; ``terminal`` maps every word walked so far to
+    its cycle.
+    """
+    seen = {}  # each word of this walk -> its position, in visit order
+    while word not in seen and word not in terminal:
+        seen[word] = len(seen)
+        word = naive_step(word, base)
+    cycle = terminal[word] if word in terminal else rotated(tuple(seen)[seen[word]:])
+    for walked in seen:
+        terminal[walked] = cycle
+    return cycle
+
+
+def image_words(base, limit):
+    """Every image of a word of length <= limit: r letters, falling, whose counts are
+    r positive numbers summing to at most limit, the gaps between r cut points in 1..limit."""
+    for r in range(1, min(base, limit) + 1):
+        for letters in combinations(ALPHABET[base - 1::-1], r):
+            for cuts in combinations(range(1, limit + 1), r):
+                counts = (b - a for a, b in zip((0,) + cuts, cuts))
+                yield "".join(to_base(c, base) + letter for c, letter in zip(counts, letters))
+
+
 def description_space_fixed_points(base, limit):
     """Fixed points of length <= limit, from every count multiset and letter set.
 
@@ -79,59 +103,53 @@ def description_space_fixed_points(base, limit):
     found = set()
     for s in range(1, limit // 2 + 1):
         for core in combinations_with_replacement(range(2, limit - 2 * s + 3), s):
-            # a fixed point renders its own description, so its length is
+            # a fixed point spells its own description, so its length is
             # both sum(counts) and the length of the numerals plus one letter
             # each; a count of 1 adds 1 to the first and 2 to the second, so
             # the identity pins the number of counts of 1
             total = sum(core)
             if total > limit:
                 continue
-            ones = total - sum(digit_length(c, base) + 1 for c in core)
+            ones = total - sum(len(to_base(c, base)) + 1 for c in core)
             counts = (1,) * ones + core
             r = len(counts)
             if ones < 0 or r > base or sum(counts) > limit:
                 continue
-            # the rendered word holds each block letter once plus the digits
+            # the spelled word holds each block letter once plus the digits
             # of the count numerals, so the digits are tallied once per multiset
-            digits = Counter(ALPHABET.index(d) for c in counts for d in to_base(c, base))
-            for letters in combinations(range(base - 1, -1, -1), r):
+            digits = Counter(d for c in counts for d in to_base(c, base))
+            for letters in combinations(ALPHABET[base - 1::-1], r):
                 # the tally forces each letter's count; the identity pins
                 # len(word) == sum(counts), so matching the multiset leaves no
                 # room for stray letters
                 own = [digits[b] + 1 for b in letters]
                 if sorted(own) == list(counts):
-                    found.add(render(Description(tuple(map(Block, own, letters)), base)))
+                    found.add("".join(to_base(c, base) + b for c, b in zip(own, letters)))
     return found
 
 
 def word_by_word_classify(base, max_len):
-    """The ClassificationReport of every word up to max_len, each stepped on its own.
+    """Fixed points and cycles of every word up to max_len, each word stepped on its own.
 
-    Every word's image comes from ``_step``, and every image not yet in the
-    shared memo is walked to its terminal cycle.
+    Returns the fixed-point texts, shortest first and then in order, as
+    ``product`` lists the words, and the terminal cycles of period >= 2 that
+    the words' images walk to, as text tuples sorted by period and then by
+    first word.
     """
     fixed = []
-    memo = {}
-    registry = []
+    terminal = {}
+    cycles = set()
     for n in range(1, max_len + 1):
-        for word in product(range(base), repeat=n):
-            image = _step(word, base)
+        for letters in product(ALPHABET[:base], repeat=n):
+            word = "".join(letters)
+            image = naive_step(word, base)
             if image == word:
                 fixed.append(word)
-            if image not in memo:
-                _resolve_terminal(image, _step, base, memo, registry, DEFAULT_MAX_STEPS)
-    cycles = sorted(
-        (canonical_cycle(words, base) for words in registry if len(words) >= 2), key=cycle_sort_key
-    )
-    return ClassificationReport(
-        base=base,
-        fixed_points=tuple(sorted(fixed, key=word_sort_key)),
-        cycles=tuple(cycles),
-        search_length_limit=max_len,
-    )
+            cycles.add(terminal_cycle(image, base, terminal))
+    return tuple(fixed), tuple(sorted((c for c in cycles if len(c) >= 2), key=lambda c: (len(c), c[0])))
 
 
-def verify_base2_convergence(max_len, *, max_steps=DEFAULT_MAX_STEPS):
+def verify_base2_convergence(max_len):
     """Check that every nonempty binary word up to max_len falls into 1001110.
 
     The lone exception is 111, which is a fixed point of its own. Returns
@@ -139,14 +157,10 @@ def verify_base2_convergence(max_len, *, max_steps=DEFAULT_MAX_STEPS):
     """
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
-    sink = (1, 0, 0, 1, 1, 1, 0)
-    exception = (1, 1, 1)
-    memo = {}
-    registry = []
+    terminal = {}
     for n in range(1, max_len + 1):
-        for word in product((0, 1), repeat=n):
-            cid = _resolve_terminal(word, _step, 2, memo, registry, max_steps)
-            target = exception if word == exception else sink
-            if registry[cid] != (target,):
+        for letters in product("01", repeat=n):
+            word = "".join(letters)
+            if terminal_cycle(word, 2, terminal) != ("111" if word == "111" else "1001110",):
                 return False
     return True

@@ -1,8 +1,10 @@
+import ast
 import gc
 import time
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +44,8 @@ from peadyn.search import (
     _resolve_terminal,
 )
 from expected_cycles import EXPECTED_CYCLES
-from reference import description_space_fixed_points, verify_base2_convergence, word_by_word_classify
+from reference import description_space_fixed_points, image_words, naive_step, rotated, terminal_cycle
+from reference import verify_base2_convergence, word_by_word_classify
 
 # The shipped expected table lists 18 words for base 6, but the search finds
 # one more: 15141211110 tallies one 5, one 4, one 2, seven 1s, one 0, and
@@ -67,22 +70,14 @@ def corrected_words(base):
     return out
 
 
-def compositions_capped(r, total):
-    if r == 0:
-        yield ()
-        return
-    for first in range(1, total - r + 2):
-        for rest in compositions_capped(r - 1, total - first):
-            yield (first,) + rest
+def texts(words):
+    return {format_word(word) for word in words}
 
 
-def all_image_words(base, limit):
-    """Every image of a word of length <= limit, generated straight from the
-    definition. Independent of the search module's internals on purpose."""
-    for r in range(1, min(base, limit) + 1):
-        for letters in combinations(range(base - 1, -1, -1), r):
-            for counts in compositions_capped(r, limit):
-                yield render(Description(tuple(map(Block, counts, letters)), base))
+def report_texts(report):
+    """A ClassificationReport as word_by_word_classify spells it: fixed-point texts and cycles as text tuples."""
+    cycles = tuple(tuple(map(format_word, record.words)) for record in report.cycles)
+    return tuple(map(format_word, report.fixed_points)), cycles
 
 
 def tally(word, base):
@@ -93,29 +88,10 @@ def tally(word, base):
 
 
 def word_level_cycles(base, limit):
-    """Terminal cycles of every image word whose words all have length <= limit,
-    found by stepping words one by one until one repeats or reaches a word an
-    earlier walk resolved: no tallies. Each cycle is rotated to start at its
-    smallest word."""
-    terminal = {}  # every word walked so far -> the cycle its orbit ends in
-    found = set()
-    for seed in all_image_words(base, limit):
-        seen = {}
-        word = seed
-        while word not in seen and word not in terminal:
-            seen[word] = len(seen)
-            word = step(word, base)
-        if word in terminal:
-            cycle = terminal[word]
-        else:
-            cycle = list(seen)[seen[word]:]
-            pivot = cycle.index(min(cycle))
-            cycle = tuple(cycle[pivot:] + cycle[:pivot])
-        for walked in seen:
-            terminal[walked] = cycle
-        if len(cycle) >= 2 and all(len(word) <= limit for word in cycle):
-            found.add(cycle)
-    return found
+    """Terminal cycles of period >= 2 of every image word, whose words all have length <= limit."""
+    terminal = {}
+    cycles = {terminal_cycle(seed, base, terminal) for seed in image_words(base, limit)}
+    return {cycle for cycle in cycles if len(cycle) >= 2 and all(len(word) <= limit for word in cycle)}
 
 
 @pytest.mark.parametrize("base", [2, 3, 4, 5])
@@ -144,11 +120,11 @@ def test_fixed_points_describe_themselves(base):
 
 @pytest.mark.parametrize("base", [5, 6])
 def test_fixed_points_match_direct_image_sweep(base):
-    # a fixed point is its own image, so testing step(w) == w over all image
+    # a fixed point is its own image, so testing naive_step(w) == w over all image
     # words is a complete, pruning-free check of the description search
     bound = length_bound(base).length_bound
-    swept = {w for w in all_image_words(base, bound) if step(w, base) == w}
-    assert swept == enumerate_fixed_points(base)
+    swept = {w for w in image_words(base, bound) if naive_step(w, base) == w}
+    assert swept == texts(enumerate_fixed_points(base))
 
 
 # at the cap, and far past it, where the sweep's carries run long
@@ -165,7 +141,7 @@ def test_brute_force_matches_word_by_word(base, longest):
     # every max_len from 1, so the fixed points read off the registry are
     # checked against stepping every word at each cutoff, the shortest included
     for max_len in range(1, longest + 1):
-        assert brute_force_classify(base, max_len) == word_by_word_classify(base, max_len), max_len
+        assert report_texts(brute_force_classify(base, max_len)) == word_by_word_classify(base, max_len), max_len
 
 
 def test_fixed_point_inequality_examples():
@@ -229,7 +205,15 @@ def test_cycles_match_frozen_records(base):
 def test_cycles_match_word_level_reference(base, limit):
     limit = length_bound(base).length_bound if limit is None else limit
     found = enumerate_cycles(base, limit)
-    assert {record.words for record in found} == word_level_cycles(base, limit)
+    assert {tuple(map(format_word, record.words)) for record in found} == word_level_cycles(base, limit)
+
+
+def test_reference_imports_nothing_from_peadyn():
+    # a referee that shared code with the package would share its faults
+    tree = ast.parse(Path(__file__).with_name("reference.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and not [name for name in modules if name.split(".")[0] == "peadyn"]
 
 
 def sorted_counts(word, base):
@@ -392,11 +376,6 @@ def test_cycle_periods_match_frozen_search(base, twos, threes):
     assert Counter(record.period for record in enumerate_cycles(base)) == {2: twos, 3: threes}
 
 
-def rotated(cycle):
-    pivot = cycle.index(min(cycle))
-    return cycle[pivot:] + cycle[:pivot]
-
-
 def full_walk_cycles(base, limit):
     """h-cycles of period >= 2 under the limit, from every count multiset of
     r <= min(base, limit) counts and sum <= limit: its counts of 2 or more,
@@ -521,12 +500,12 @@ LIMIT_GRID = [
 @pytest.mark.parametrize("base", range(2, 15))
 def test_fixed_points_match_description_space_loop(base):
     limit = length_bound(base).length_bound
-    assert enumerate_fixed_points(base) == description_space_fixed_points(base, limit)
+    assert texts(enumerate_fixed_points(base)) == description_space_fixed_points(base, limit)
 
 
 @pytest.mark.parametrize("base, limit", LIMIT_GRID)
 def test_fixed_points_match_description_space_loop_on_limits(base, limit):
-    assert enumerate_fixed_points(base, limit) == description_space_fixed_points(base, limit)
+    assert texts(enumerate_fixed_points(base, limit)) == description_space_fixed_points(base, limit)
 
 
 @pytest.mark.parametrize("base, count", [(16, 4216), (18, 16537), (20, 65726)])
@@ -583,7 +562,7 @@ def check_tally_oracle(base, budget=None):
     report = brute_force_classify(base, limit, budget=budget)
     fixed = set(report.fixed_points)
     assert fixed == enumerate_fixed_points(base)
-    assert fixed == description_space_fixed_points(base, limit)
+    assert texts(fixed) == description_space_fixed_points(base, limit)
     assert set(report.cycles) == enumerate_cycles(base)
 
 
