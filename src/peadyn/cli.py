@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import NamedTuple
 
 from .core import Word, format_word, parse_word, step
@@ -124,16 +125,18 @@ def cmd_cycles(args: argparse.Namespace) -> Result:
     return Result(payload, ("base", "period", "position", "word"), rows, lines)
 
 
-def _load_golden(base: int) -> tuple[set[Word], list[str]]:
-    """Parse the expected column and self-check every entry is fixed.
+@cache
+def _load_golden(texts: tuple[str, ...], base: int) -> tuple[frozenset[Word], tuple[str, ...]]:
+    """Parse an expected column and self-check every entry is fixed.
 
     Non-fixed or unparseable entries mean the shipped table is corrupt; they
     are returned separately so the caller reports them as a FAIL instead of
-    trusting them.
+    trusting them. Cached on the column's texts, so each distinct column is
+    checked once per process; the results are immutable, since callers share them.
     """
     good: set[Word] = set()
     corrupt: list[str] = []
-    for text in EXPECTED_FIXED_POINTS[base]:
+    for text in texts:
         try:
             word = parse_word(text, base)
         except ValueError:
@@ -143,14 +146,14 @@ def _load_golden(base: int) -> tuple[set[Word], list[str]]:
             corrupt.append(text)
         else:
             good.add(word)
-    return good, corrupt
+    return frozenset(good), tuple(corrupt)
 
 
 def cmd_verify_table(args: argparse.Namespace) -> Result:
     results = []
     lines = []
     for base in args.bases:
-        expected, corrupt = _load_golden(base)
+        expected, corrupt = _load_golden(EXPECTED_FIXED_POINTS[base], base)
         found = enumerate_fixed_points(base)
         missing = [format_word(w) for w in sorted(found - expected, key=word_sort_key)]
         extra = [format_word(w) for w in sorted(expected - found, key=word_sort_key)] + sorted(corrupt)
@@ -209,6 +212,9 @@ COMMANDS = {
 }
 
 
+# parse_args leaves a parser unchanged and help reads the terminal width when
+# it is formatted, so one parser serves every in-process call to main
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peadyn", description="Counting dynamics on base-k words: iterate, classify, verify.")

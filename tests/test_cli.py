@@ -383,3 +383,41 @@ def test_cold_import_loads_no_dataclasses_inspect_or_pathlib():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    verify = ("verify-table", "--format", "json")
+    first = run(capsys, *verify)
+    assert first[0] == 1
+    assert run(capsys, *verify) == first
+    # a rejected call between two good calls leaves the shared parser as it was
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-table", "--bases", "7"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *verify) == first
+    for argv in (["--help"], ["cycles", "--help"]):
+        printed = []
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(argv)
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1], argv
+        assert printed[0].out.startswith("usage: peadyn"), argv
+
+
+def test_golden_cache_follows_the_table(capsys, monkeypatch):
+    column = cli.EXPECTED_FIXED_POINTS[3]
+    verify = ("verify-table", "--bases", "3", "--format", "table")
+    passed = (0, "base 3: PASS (7 fixed points)\noverall: PASS\n", "")
+    good, corrupt = cli._load_golden(column, 3)
+    assert isinstance(good, frozenset) and isinstance(corrupt, tuple)
+    assert run(capsys, *verify) == passed
+    # a patched column is a new key, so it is parsed and self-checked again
+    monkeypatch.setitem(cli.EXPECTED_FIXED_POINTS, 3, column + ("121",))
+    code, out, _ = run(capsys, *verify)
+    assert code == 1
+    assert "base 3: FAIL extra: 121" in out.splitlines()
+    monkeypatch.undo()
+    assert run(capsys, *verify) == passed

@@ -44,6 +44,7 @@ from peadyn.search import (
     _resolve_terminal,
 )
 from expected_cycles import EXPECTED_CYCLES
+from oracle_check import check_tally_oracle, texts
 from reference import description_space_fixed_points, image_words, naive_step, rotated, terminal_cycle
 from reference import verify_base2_convergence, word_by_word_classify
 
@@ -68,10 +69,6 @@ def corrected_words(base):
     if base == 6:
         out.add(parse_word(EXTRA_BASE6_FIXED_POINT, 6))
     return out
-
-
-def texts(words):
-    return {format_word(word) for word in words}
 
 
 def report_texts(report):
@@ -554,16 +551,6 @@ def test_base2_search_far_past_the_cap():
     # count 2 lowers m1 in base 2, so only the core size bounds the walk there
     assert count_fixed_points(2, 3000) == 2
     assert enumerate_fixed_points(2, 3000) == expected_words(2)
-
-
-def check_tally_oracle(base, budget=None):
-    """Assert that the brute-force oracle at the cap agrees with both fixed point searches and the cycle search."""
-    limit = length_bound(base).length_bound
-    report = brute_force_classify(base, limit, budget=budget)
-    fixed = set(report.fixed_points)
-    assert fixed == enumerate_fixed_points(base)
-    assert texts(fixed) == description_space_fixed_points(base, limit)
-    assert set(report.cycles) == enumerate_cycles(base)
 
 
 @pytest.mark.parametrize("base", range(2, 10))
