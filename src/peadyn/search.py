@@ -43,10 +43,10 @@ previous state is in the cycle too. Two cuts follow:
   base 4 up that leaves D <= r + 2.
 
 So a slice walks one state per partition of each such D into at most r
-parts, through ``_resolve_terminal``, which also walks letter tallies for
-the brute-force classifier. The walk is bounded by the base alone, at most
-265,934 states (base 36, under any limit), so the cycle budget counts only
-the words listed.
+parts, through ``dynamics._walk``, the walker of ``orbit`` and of the
+brute-force classifier, on one dict per slice. The walk is bounded by the
+base alone, at most 265,934 states (base 36, under any limit), so the
+cycle budget counts only the words listed.
 
 Fixed points are the multisets with h(M) = M. Split M into its core, the
 counts >= 2, and m1 counts of 1. A fixed point renders its own description,
@@ -78,7 +78,7 @@ count is pushed and popped, and calls h only on the candidates that pass:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import combinations
 from math import comb
 from operator import add
@@ -96,7 +96,7 @@ from .core import (
     describe,
     digit_length,
 )
-from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
+from .dynamics import DEFAULT_MAX_STEPS, State, _walk, length_bound
 
 # The words the searches list (fixed points, or the words of the cycles), or
 # the letter tallies the brute-force classifier covers. The searches list fixed
@@ -106,10 +106,6 @@ from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound
 # and refuses base 8 at its cap (2,220,074). It walks only the tallies' first
 # images, so base 2 to length 1412 (998,990 tallies) takes 0.01 s, in 15 MB.
 DEFAULT_BUDGET = 10**6
-
-# what _resolve_terminal walks: a letter tally in the classifier, a count
-# multiset in the cycle search (a word in the test that checks it against orbit)
-State = tuple[int, ...]
 
 
 class BudgetExceeded(RuntimeError):
@@ -363,45 +359,6 @@ def _image_states(
             yield from _image_states(r, most - c + 1, least - c + 1, c, core + (c,))
 
 
-def _resolve_terminal(
-    start: State,
-    image: Callable[[State, int], State],
-    base: int,
-    memo: dict[State, int],
-    registry: list[tuple[State, ...]],
-    max_steps: int,
-) -> int:
-    """Cycle id of the orbit terminal from ``start`` under ``image``, caching every state seen.
-
-    States are letter tallies under ``_tally_image`` or count multisets under
-    ``_count_image``; any map of states to states will do, and one test walks
-    words under ``_step`` to check it against ``orbit``. A new cycle is
-    appended to ``registry`` as its states in orbit order; a cycle already in
-    the registry is always hit through ``memo`` first, so no duplicates arise.
-    """
-    cid = memo.get(start)
-    if cid is not None:
-        return cid
-    seen = {start: 0}  # each state of this walk -> its position, in visit order
-    current = start
-    while True:
-        current = image(current, base)
-        cid = memo.get(current)
-        if cid is not None:
-            break
-        j = seen.get(current)
-        if j is not None:
-            registry.append(tuple(seen)[j:])
-            cid = len(registry) - 1
-            break
-        if len(seen) >= max_steps:
-            raise OrbitLimitExceeded(f"no repeat within {max_steps} steps during search")
-        seen[current] = len(seen)
-    for state in seen:
-        memo[state] = cid
-    return cid
-
-
 def enumerate_cycles(
     base: int,
     length_limit: int | None = None,
@@ -428,15 +385,11 @@ def enumerate_cycles(
     families: list[tuple[tuple[Tally, ...], int]] = []
     for r in range(1, min(base, limit) + 1):
         most = min(limit - r, digits * r)  # the excess D of any state of a cycle that fits
-        memo: dict[State, int] = {}
-        registry: list[tuple[State, ...]] = []
+        seen: dict[State, State] = {}
         for counts in _image_states(r, min(most, r + most // (base - 1)), r):
-            _resolve_terminal(counts, _count_image, base, memo, registry, DEFAULT_MAX_STEPS)
-        families += [
-            _family(cycle, base)
-            for cycle in registry
-            if len(cycle) >= 2 and all(sum(counts) <= limit for counts in cycle)
-        ]
+            cycle = _walk(counts, _count_image, base, seen, DEFAULT_MAX_STEPS)
+            if len(cycle) >= 2 and all(sum(state) <= limit for state in cycle):
+                families.append(_family(cycle, base))
         needed = sum(len(forced) * _family_size(forced, ones) for forced, ones in families)
         if needed > allowed:
             raise BudgetExceeded(f"cycle search in base {base} needs at least {needed} words, budget is {allowed}")
@@ -466,19 +419,20 @@ def brute_force_classify(
     builds the distinct digit tallies of the r-count multisets with sum <=
     max_len, one count at a time, each kept with the least sum that gives
     it; it adds 1 on each r-letter set S and walks the result to its
-    terminal cycle through ``_resolve_terminal`` under ``_tally_image``,
-    with the step guard at ``DEFAULT_MAX_STEPS``. Each (S, digit tally)
-    pair comes from a distinct tally, so it walks no more than the budget
-    counts.
+    terminal cycle through ``dynamics._walk`` under ``_tally_image``, on
+    one dict for the whole sweep, with the step guard at
+    ``DEFAULT_MAX_STEPS``. Each (S, digit tally) pair comes from a distinct
+    tally, so it walks no more than the budget counts.
 
     The report is that of a sweep over every tally: a fixed word is the
     image of its own tally, and each word of a cycle is the image of the
-    word before it. No word is built until the end, where each registered
-    cycle is spelled once: a tally cycle spells a word cycle of the same
-    period, and distinct tally cycles spell distinct word cycles. A fixed
-    word enters the registry as a cycle of period 1; the fixed points are
-    those of length <= max_len, and the cycles are the registered ones of
-    period >= 2.
+    word before it. The walker returns each tally cycle once, from the walk
+    that closes it, into the registry. No word is built until the end,
+    where each registered cycle is spelled once: a tally cycle spells a
+    word cycle of the same period, and distinct tally cycles spell
+    distinct word cycles. A fixed word enters the registry as a cycle of
+    period 1; the fixed points are those of length <= max_len, and the
+    cycles are the registered ones of period >= 2.
     """
     check_base(base)
     if max_len < 1:
@@ -491,11 +445,8 @@ def brute_force_classify(
     # that swaps a count for it keeps its digit tally and lowers its sum
     least: dict[Tally, int] = {}
     for c in range(1, max_len + 1):
-        numeral = [0] * base
-        for d in _numeral_digits(c, base):
-            numeral[d] += 1
-        least.setdefault(tuple(numeral), c)
-    memo: dict[Tally, int] = {}
+        least.setdefault(tuple(_digit_tally((c,), base)), c)
+    seen: dict[Tally, Tally] = {}
     registry: list[tuple[Tally, ...]] = []
     room = {(0,) * base: max_len}  # digit tally of r counts -> max_len less the least sum that gives it
     for r in range(1, min(base, max_len) + 1):
@@ -513,7 +464,9 @@ def brute_force_classify(
             for b in letters:
                 ones[b] = 1
             for digits in room:
-                _resolve_terminal(tuple(map(add, digits, ones)), _tally_image, base, memo, registry, DEFAULT_MAX_STEPS)
+                cycle = _walk(tuple(map(add, digits, ones)), _tally_image, base, seen, DEFAULT_MAX_STEPS)
+                if cycle:
+                    registry.append(cycle)
     # a fixed word's length is the sum of its tally
     fixed = [_spell(cycle[0], base) for cycle in registry if len(cycle) == 1 and sum(cycle[0]) <= max_len]
     cycles = sorted(

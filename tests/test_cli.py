@@ -245,6 +245,22 @@ def test_verify_table_unknown_base_rejected(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["step", "-k", "2", "-w", "1", "-n", "0"],
+        ["orbit", "-k", "2", "-w", "1", "--max-steps", "0"],
+        ["fixed-points", "-k", "2", "--budget", "0"],
+        ["cycles", "-k", "2", "--length-limit", "0"],
+    ],
+)
+def test_counts_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a positive integer, got 0" in capsys.readouterr().err
+
+
 def test_verify_table_corrupted_entry_unparseable(capsys, monkeypatch):
     # '3' is not a base-3 letter, so the entry cannot even parse
     monkeypatch.setitem(cli.EXPECTED_FIXED_POINTS, 3, cli.EXPECTED_FIXED_POINTS[3] + ("123",))

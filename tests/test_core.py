@@ -216,6 +216,12 @@ def test_digit_length_matches_reference(n, base):
     assert digit_length(n, base) == len(to_base(n, base))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_digit_length_rejects_nonpositive(n):
+    with pytest.raises(ValueError, match=f"positive integer, got {n}"):
+        digit_length(n, 10)
+
+
 def test_parse_format_roundtrip_examples():
     assert parse_word("1001110", 2) == (1, 0, 0, 1, 1, 1, 0)
     assert format_word((1, 0, 0, 1, 1, 1, 0)) == "1001110"

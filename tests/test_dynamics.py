@@ -13,7 +13,7 @@ from peadyn import (
     step,
 )
 from peadyn.core import _step
-from peadyn.search import _resolve_terminal
+from peadyn.dynamics import DEFAULT_MAX_STEPS, _walk
 from reference import naive_orbit
 from test_core import bases_and_words
 
@@ -110,17 +110,33 @@ def test_orbit_transient_is_exact(kw):
 @settings(max_examples=150, deadline=None)
 @given(bases_and_words(max_base=8, max_len=40))
 def test_search_walker_agrees_with_orbit(kw):
-    # the memoized search walker sees the same states as orbit, and its step
-    # guard trips exactly one step short of the repeat
+    # the walker on words sees the same states as orbit on tallies, and its
+    # step guard trips exactly one step short of the repeat
     base, w = kw
     r = orbit(w, base)
-    memo, registry = {}, []
-    _resolve_terminal(w, _step, base, memo, registry, r.steps_taken)
-    assert registry == [r.cycle]
-    assert len(memo) == r.steps_taken
+    seen = {}
+    assert _walk(w, _step, base, seen, r.steps_taken) == r.cycle
+    assert len(seen) == r.steps_taken
     if r.steps_taken >= 2:
-        with pytest.raises(OrbitLimitExceeded):
-            _resolve_terminal(w, _step, base, {}, [], r.steps_taken - 1)
+        short = r.steps_taken - 1
+        with pytest.raises(OrbitLimitExceeded, match=f"no repeat within {short} steps from the given start"):
+            _walk(w, _step, base, {}, short)
+
+
+def test_walker_dict_is_the_walk_and_the_memo():
+    # two base-3 walks that share a tail into the period-3 cycle: the first
+    # returns the cycle, the second stops at the first state of the first
+    # walk and returns (), and the dict holds each state once, in visit order
+    seen = {}
+    first, second = parse_word("0001112", 3), parse_word("0010222", 3)
+    cycle = _walk(first, _step, 3, seen, DEFAULT_MAX_STEPS)
+    assert [format_word(w) for w in cycle] == ["12111100", "1212120", "10210110"]
+    assert _walk(second, _step, 3, seen, DEFAULT_MAX_STEPS) == ()
+    visits = ["0001112", "12101100", "12111100", "1212120", "10210110", "0010222", "10211100"]
+    assert [format_word(w) for w in seen] == visits
+    # a start already walked returns () and adds nothing
+    assert _walk(cycle[1], _step, 3, seen, DEFAULT_MAX_STEPS) == ()
+    assert [format_word(w) for w in seen] == visits
 
 
 @pytest.mark.parametrize(

@@ -34,14 +34,13 @@ from peadyn import (
 from peadyn import search
 from peadyn.golden import EXPECTED_FIXED_POINTS
 from peadyn.core import _spell, digit_length
-from peadyn.dynamics import DEFAULT_MAX_STEPS
+from peadyn.dynamics import DEFAULT_MAX_STEPS, _walk
 from peadyn.search import (
     DEFAULT_BUDGET,
     _count_image,
     _family,
     _family_members,
     _image_states,
-    _resolve_terminal,
 )
 from expected_cycles import EXPECTED_CYCLES
 from oracle_check import check_tally_oracle, texts
@@ -277,7 +276,7 @@ def test_brute_force_budget_guard(monkeypatch):
     # C(max_len + k, k) - 1, before the sweep builds a digit tally or walks
     # a first image
     with monkeypatch.context() as patched:
-        for name in ("_numeral_digits", "_tally_image", "_resolve_terminal"):
+        for name in ("_numeral_digits", "_digit_tally", "_tally_image", "_walk"):
             patched.setattr(search, name, no_tally)
         with pytest.raises(BudgetExceeded, match="base 3 needs 454 tallies, budget is 453"):
             brute_force_classify(3, 12, budget=453)
@@ -294,13 +293,13 @@ def test_brute_force_walks_first_images(monkeypatch):
     # sweep starts a walk from each (letter set, digit tally) pair, and no
     # pair comes from two tallies, so it starts fewer walks than tallies
     starts = []
-    resolve = search._resolve_terminal
+    walk = search._walk
 
     def recording(start, *args):
         starts.append(start)
-        return resolve(start, *args)
+        return walk(start, *args)
 
-    monkeypatch.setattr(search, "_resolve_terminal", recording)
+    monkeypatch.setattr(search, "_walk", recording)
     brute_force_classify(3, 7)
     tallies = [t for t in product(range(8), repeat=3) if 0 < sum(t) <= 7]
     images = {search._tally_image(t, 3) for t in tallies}
@@ -378,12 +377,12 @@ def full_walk_cycles(base, limit):
     r <= min(base, limit) counts and sum <= limit: its counts of 2 or more,
     each size s drawn with replacement from 2..limit - 2(s - 1), plus every
     number of counts of 1 that fits."""
-    memo, registry = {}, []
+    seen, registry = {}, []
     top = min(base, limit)
     for size in range(limit // 2 + 1):
         for core in combinations_with_replacement(range(2, limit - 2 * size + 3), size):
             for ones in range(min(top - size, limit - sum(core)) + 1):
-                _resolve_terminal((1,) * ones + core, _count_image, base, memo, registry, DEFAULT_MAX_STEPS)
+                registry.append(_walk((1,) * ones + core, _count_image, base, seen, DEFAULT_MAX_STEPS))
     return {rotated(c) for c in registry if len(c) >= 2 and all(sum(counts) <= limit for counts in c)}
 
 
@@ -392,10 +391,10 @@ def image_walk_cycles(base, limit):
     digits = digit_length(limit, base)
     found = set()
     for r in range(1, min(base, limit) + 1):
-        memo, registry = {}, []
+        seen, registry = {}, []
         for counts in _image_states(r, min(limit - r, digits * r), r):
             # a guard of 8 steps: no walk needs more, which lets enumerate_cycles drop its own
-            _resolve_terminal(counts, _count_image, base, memo, registry, 8)
+            registry.append(_walk(counts, _count_image, base, seen, 8))
         found |= {rotated(c) for c in registry if len(c) >= 2 and all(sum(counts) <= limit for counts in c)}
     return found
 
