@@ -35,11 +35,9 @@ from .search import (
     brute_force_classify,
     canonical_cycle,
     count_fixed_points,
-    cycle_inequality_holds,
     enumerate_cycles,
     cycle_sort_key,
     enumerate_fixed_points,
-    fixed_point_inequality_holds,
     word_sort_key,
 )
 
@@ -62,13 +60,11 @@ __all__ = [
     "brute_force_classify",
     "canonical_cycle",
     "count_fixed_points",
-    "cycle_inequality_holds",
     "cycle_sort_key",
     "describe",
     "digit_length",
     "enumerate_cycles",
     "enumerate_fixed_points",
-    "fixed_point_inequality_holds",
     "format_word",
     "length_bound",
     "orbit",

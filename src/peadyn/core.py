@@ -202,11 +202,6 @@ def _tally_image(tally: Sequence[int], base: int) -> Tally:
     return tuple(out)
 
 
-def _step(word: Word, base: int) -> Word:
-    # describe + render without validation, for public step and cycle checks
-    return _spell(_tally(word, base), base)
-
-
 def step(word: Word, base: int) -> Word:
     """Apply the counting map once: say how many of each letter, largest first.
 
@@ -215,4 +210,4 @@ def step(word: Word, base: int) -> Word:
     """
     check_base(base)
     check_word(word, base)
-    return _step(word, base)
+    return _spell(_tally(word, base), base)

@@ -85,15 +85,12 @@ from operator import add
 from typing import NamedTuple
 
 from .core import (
-    Description,
     Tally,
     Word,
     _numeral_digits,
     _spell,
-    _step,
     _tally_image,
     check_base,
-    describe,
     digit_length,
 )
 from .dynamics import DEFAULT_MAX_STEPS, State, _walk, length_bound
@@ -147,12 +144,6 @@ class CycleRecord(_CycleRecordFields):
         # _replace builds through _make, which would skip the checks
         return cls(*iterable)
 
-    def closes_under_step(self) -> bool:
-        return all(
-            _step(self.words[i], self.base) == self.words[(i + 1) % self.period]
-            for i in range(self.period)
-        )
-
 
 class ClassificationReport(NamedTuple):
     """Everything the brute-force classifier found: fixed points plus period >= 2 cycles."""
@@ -176,40 +167,6 @@ def canonical_cycle(words: tuple[Word, ...], base: int) -> CycleRecord:
     """Build a CycleRecord rotated so the smallest word leads."""
     pivot = words.index(min(words))
     return CycleRecord(base=base, period=len(words), words=words[pivot:] + words[:pivot])
-
-
-def fixed_point_inequality_holds(description: Description) -> bool:
-    """Necessary, not sufficient, condition on a fixed point's description.
-
-    With n_j one less than the digit count of block j's numeral, a word that
-    renders its own description must satisfy
-
-        sum(n_j) >= sum(k^n_j) - 2r
-
-    since every count is at least k^n_j yet all counts together only measure
-    the word's own length, which is sum(n_j) + 2r.
-    """
-    return _slack(description) >= 0
-
-
-def cycle_inequality_holds(record: CycleRecord) -> bool:
-    """Cycle analogue of the fixed point inequality, summed over all words.
-
-    Block counts may differ from word to word, so the slack term uses each
-    word's own block count: sum over words of (n sums) >= sum of k^n minus
-    2 * (total blocks across the cycle).
-    """
-    return sum(_slack(describe(word, record.base)) for word in record.words) >= 0
-
-
-def _slack(description: Description) -> int:
-    """sum(n_j) - sum(k^n_j) + 2r for one description, the margin of the inequality."""
-    k = description.base
-    slack = 2 * len(description.blocks)
-    for count, _ in description.blocks:
-        n = digit_length(count, k) - 1
-        slack += n - k**n
-    return slack
 
 
 def _fixed_point_walk(

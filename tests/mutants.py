@@ -1,0 +1,134 @@
+"""Mutation gate: every mutant below must fail the test it names.
+
+Run from anywhere with ``python tests/mutants.py``. The named tests are first
+run once on the sources as they are, where they must pass. Then, for each
+mutant, ``src/`` and ``tests/`` are copied into a fresh temporary directory,
+the mutant's old text must occur exactly once in its file and is replaced by
+the new text, and the named test runs there under pytest with
+``PYTHONPATH=src``. A mutant is killed when that test fails. The script names
+every mutant that survives and exits 1.
+
+Mutants are only ever added. An equivalent mutant, one that changes no output
+(a loosened support cut, say), survives every test and does not belong here.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    node: str  # the pytest node id that must fail
+
+
+MUTANTS = (
+    Mutant(
+        "src/peadyn/dynamics.py",
+        "return tuple(cycle)",
+        "return tuple(cycle[1:])",
+        "tests/test_dynamics.py::test_walker_dict_is_the_walk_and_the_memo",
+    ),
+    Mutant(
+        "src/peadyn/dynamics.py",
+        "if owner is not start:",
+        "if False:",
+        "tests/test_dynamics.py::test_walker_dict_is_the_walk_and_the_memo",
+    ),
+    Mutant(
+        "src/peadyn/core.py",
+        "                for d in _numeral_digits(c, base):\n                    out[d] += 1\n",
+        "                pass\n",
+        "tests/test_core.py::test_tally_image_is_the_tally_of_the_spelling",
+    ),
+    Mutant(
+        "src/peadyn/search.py",
+        "if m1 >= 0 and letters",
+        "if m1 > 0 and letters",
+        "tests/test_search.py::test_fixed_points_match_expected_table",
+    ),
+    Mutant(
+        "src/peadyn/search.py",
+        "if ones >= 0 else 0",
+        "if ones > 0 else 0",
+        "tests/test_search.py::test_search_matches_brute_force",
+    ),
+    Mutant(
+        "tests/reference.py",
+        "return all(naive_step(text, base) == texts[(i + 1) % len(texts)] for i, text in enumerate(texts))",
+        "return True",
+        "tests/test_search.py::test_closure_check_examples",
+    ),
+    Mutant(
+        "tests/reference.py",
+        "return _slack(text, base) >= 0",
+        "return True",
+        "tests/test_search.py::test_fixed_point_inequality_examples",
+    ),
+    Mutant(
+        "tests/reference.py",
+        "return sum(_slack(text, base) for text in texts) >= 0",
+        "return True",
+        "tests/test_search.py::test_cycle_inequality_examples",
+    ),
+)
+
+
+def run_pytest(tree: Path, nodes: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *nodes]
+    return subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+
+
+def copy_tree(tmp: str) -> Path:
+    tree = Path(tmp)
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    return tree
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = run_pytest(copy_tree(tmp), sorted({m.node for m in MUTANTS}))
+    if clean.returncode != 0:
+        print(clean.stdout + clean.stderr)
+        print("the named tests fail on the unmutated sources")
+        return 1
+    survivors = []
+    for mutant in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = copy_tree(tmp)
+            target = tree / mutant.path
+            text = target.read_text()
+            found = text.count(mutant.old)
+            if found != 1:
+                print(f"{mutant.path}: the old text occurs {found} times, not once: {mutant.old!r}")
+                return 1
+            target.write_text(text.replace(mutant.old, mutant.new))
+            run = run_pytest(tree, [mutant.node])
+        # pytest exits 1 when a test fails; any other code means the run went wrong
+        if run.returncode not in (0, 1):
+            print(run.stdout + run.stderr)
+            print(f"{mutant.path}: pytest exited {run.returncode} on {mutant.node}")
+            return 1
+        verdict = "killed" if run.returncode == 1 else "SURVIVED"
+        print(f"{verdict}  {mutant.path}: {mutant.old!r} -> {mutant.new!r}  by {mutant.node}")
+        if run.returncode == 0:
+            survivors.append(mutant)
+    if survivors:
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants survived")
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,9 @@ before it listed fixed points by family; it tallies the digits of the count
 numerals with ``Counter`` over ``to_base``, not with the package's loop.
 ``word_by_word_classify`` is the word-by-word classifier as it was before it
 shared one image per tally: it steps every word. ``verify_base2_convergence``
-checks the paper's base-2 claim word by word.
+checks the paper's base-2 claim word by word. ``closes_under_step`` and the
+paper's two necessary inequalities, ``fixed_point_inequality_holds`` and
+``cycle_inequality_holds``, check found words as text.
 """
 
 from collections import Counter
@@ -56,6 +58,44 @@ def naive_orbit(word: str, base: int, max_steps: int = 10000):
             return i, len(seen) - i, seen[i:]
         seen.append(word)
     raise AssertionError(f"no repeat within {max_steps} steps")
+
+
+def closes_under_step(texts, base):
+    """Every word steps to the next one and the last steps back to the first."""
+    return all(naive_step(text, base) == texts[(i + 1) % len(texts)] for i, text in enumerate(texts))
+
+
+def fixed_point_inequality_holds(text, base):
+    """Necessary, not sufficient, condition on a fixed point.
+
+    With n_j one less than the digit count of the numeral of block j's count,
+    a word that spells its own r blocks must satisfy
+
+        sum(n_j) >= sum(k^n_j) - 2r
+
+    since every count is at least k^n_j yet all counts together only measure
+    the word's own length, which is sum(n_j) + 2r.
+    """
+    return _slack(text, base) >= 0
+
+
+def cycle_inequality_holds(texts, base):
+    """Cycle analogue of the fixed point inequality, summed over all words.
+
+    Block counts may differ from word to word, so each word brings its own
+    2r: the margins of the words sum to at least 0.
+    """
+    return sum(_slack(text, base) for text in texts) >= 0
+
+
+def _slack(text, base):
+    """sum(n_j) - sum(k^n_j) + 2r over the letter counts of ``text``, the margin of the inequality."""
+    counts = Counter(text).values()
+    slack = 2 * len(counts)
+    for c in counts:
+        n = len(to_base(c, base)) - 1
+        slack += n - base**n
+    return slack
 
 
 def rotated(cycle):

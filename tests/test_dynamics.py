@@ -12,7 +12,6 @@ from peadyn import (
     parse_word,
     step,
 )
-from peadyn.core import _step
 from peadyn.dynamics import DEFAULT_MAX_STEPS, _walk
 from reference import naive_orbit
 from test_core import bases_and_words
@@ -115,12 +114,12 @@ def test_search_walker_agrees_with_orbit(kw):
     base, w = kw
     r = orbit(w, base)
     seen = {}
-    assert _walk(w, _step, base, seen, r.steps_taken) == r.cycle
+    assert _walk(w, step, base, seen, r.steps_taken) == r.cycle
     assert len(seen) == r.steps_taken
     if r.steps_taken >= 2:
         short = r.steps_taken - 1
         with pytest.raises(OrbitLimitExceeded, match=f"no repeat within {short} steps from the given start"):
-            _walk(w, _step, base, {}, short)
+            _walk(w, step, base, {}, short)
 
 
 def test_walker_dict_is_the_walk_and_the_memo():
@@ -129,13 +128,13 @@ def test_walker_dict_is_the_walk_and_the_memo():
     # walk and returns (), and the dict holds each state once, in visit order
     seen = {}
     first, second = parse_word("0001112", 3), parse_word("0010222", 3)
-    cycle = _walk(first, _step, 3, seen, DEFAULT_MAX_STEPS)
+    cycle = _walk(first, step, 3, seen, DEFAULT_MAX_STEPS)
     assert [format_word(w) for w in cycle] == ["12111100", "1212120", "10210110"]
-    assert _walk(second, _step, 3, seen, DEFAULT_MAX_STEPS) == ()
+    assert _walk(second, step, 3, seen, DEFAULT_MAX_STEPS) == ()
     visits = ["0001112", "12101100", "12111100", "1212120", "10210110", "0010222", "10211100"]
     assert [format_word(w) for w in seen] == visits
     # a start already walked returns () and adds nothing
-    assert _walk(cycle[1], _step, 3, seen, DEFAULT_MAX_STEPS) == ()
+    assert _walk(cycle[1], step, 3, seen, DEFAULT_MAX_STEPS) == ()
     assert [format_word(w) for w in seen] == visits
 
 

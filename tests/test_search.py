@@ -11,19 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peadyn import (
-    Block,
     BudgetExceeded,
     CycleRecord,
-    Description,
     brute_force_classify,
     canonical_cycle,
     count_fixed_points,
-    cycle_inequality_holds,
     cycle_sort_key,
     describe,
     enumerate_cycles,
     enumerate_fixed_points,
-    fixed_point_inequality_holds,
     format_word,
     length_bound,
     parse_word,
@@ -46,6 +42,7 @@ from expected_cycles import EXPECTED_CYCLES
 from oracle_check import check_tally_oracle, texts
 from reference import description_space_fixed_points, image_words, naive_step, rotated, terminal_cycle
 from reference import verify_base2_convergence, word_by_word_classify
+from reference import closes_under_step, cycle_inequality_holds, fixed_point_inequality_holds
 
 # The shipped expected table lists 18 words for base 6, but the search finds
 # one more: 15141211110 tallies one 5, one 4, one 2, seven 1s, one 0, and
@@ -111,7 +108,7 @@ def test_fixed_points_describe_themselves(base):
         assert render(d) == word
         assert sum(c for c, _ in d.blocks) == len(word)
         assert len(word) <= bound
-        assert fixed_point_inequality_holds(d)
+        assert fixed_point_inequality_holds(format_word(word), base)
 
 
 @pytest.mark.parametrize("base", [5, 6])
@@ -141,17 +138,23 @@ def test_brute_force_matches_word_by_word(base, longest):
 
 
 def test_fixed_point_inequality_examples():
-    assert fixed_point_inequality_holds(describe(parse_word("111", 2), 2))
-    assert fixed_point_inequality_holds(describe(parse_word("22", 3), 3))
+    assert fixed_point_inequality_holds("111", 2)
+    assert fixed_point_inequality_holds("22", 3)
     # a single block of 27 ones in base 3 would need 3 >= 27 - 2
-    assert not fixed_point_inequality_holds(Description((Block(27, 1),), 3))
+    assert not fixed_point_inequality_holds("1" * 27, 3)
 
 
 def test_cycle_inequality_examples():
-    assert cycle_inequality_holds(CycleRecord(3, 3, tuple(parse_word(t, 3) for t in BASE3_CYCLE_WORDS)))
-    assert cycle_inequality_holds(CycleRecord(6, 2, tuple(parse_word(t, 6) for t in BASE6_CYCLE_WORDS)))
-    bad = CycleRecord(3, 2, ((1,) * 27, (2,) * 27))
-    assert not cycle_inequality_holds(bad)
+    assert cycle_inequality_holds(BASE3_CYCLE_WORDS, 3)
+    assert cycle_inequality_holds(BASE6_CYCLE_WORDS, 6)
+    assert not cycle_inequality_holds(("1" * 27, "2" * 27), 3)
+
+
+def test_closure_check_examples():
+    assert closes_under_step(BASE3_CYCLE_WORDS, 3)
+    # the base-3 cycle walked backwards, and two words that step elsewhere
+    assert not closes_under_step(BASE3_CYCLE_WORDS[::-1], 3)
+    assert not closes_under_step(("1" * 27, "2" * 27), 3)
 
 
 def test_no_cycles_in_base_2():
@@ -165,9 +168,10 @@ def test_base3_cycle():
     assert len(cycles) == 1
     record = next(iter(cycles))
     assert record.period == 3
-    assert tuple(format_word(w) for w in record.words) == BASE3_CYCLE_WORDS
-    assert record.closes_under_step()
-    assert cycle_inequality_holds(record)
+    words = tuple(format_word(w) for w in record.words)
+    assert words == BASE3_CYCLE_WORDS
+    assert closes_under_step(words, 3)
+    assert cycle_inequality_holds(words, 3)
 
 
 @pytest.mark.parametrize("base", [4, 5])
@@ -180,8 +184,9 @@ def test_base6_cycle():
     assert len(cycles) == 1
     record = next(iter(cycles))
     assert record.period == 2
-    assert tuple(format_word(w) for w in record.words) == BASE6_CYCLE_WORDS
-    assert record.closes_under_step()
+    words = tuple(format_word(w) for w in record.words)
+    assert words == BASE6_CYCLE_WORDS
+    assert closes_under_step(words, 6)
 
 
 @pytest.mark.parametrize("base", [7, 8, 9, 10])
@@ -191,7 +196,7 @@ def test_cycles_match_frozen_records(base):
         for texts in EXPECTED_CYCLES[base]
     ]
     assert sorted(enumerate_cycles(base), key=cycle_sort_key) == expected
-    assert all(record.closes_under_step() for record in expected)
+    assert all(closes_under_step(texts, base) for texts in EXPECTED_CYCLES[base])
 
 
 @pytest.mark.parametrize(
