@@ -9,14 +9,10 @@ cycle every orbit falls into, and enumerates all of them per base.
 from .core import (
     MAX_BASE,
     MIN_BASE,
-    Block,
-    Description,
     Word,
-    describe,
     digit_length,
     format_word,
     parse_word,
-    render,
     step,
 )
 from .dynamics import (
@@ -48,12 +44,10 @@ __all__ = [
     "MIN_BASE",
     "DEFAULT_MAX_STEPS",
     "DEFAULT_BUDGET",
-    "Block",
     "BoundInfo",
     "BudgetExceeded",
     "ClassificationReport",
     "CycleRecord",
-    "Description",
     "OrbitLimitExceeded",
     "OrbitResult",
     "Word",
@@ -61,7 +55,6 @@ __all__ = [
     "canonical_cycle",
     "count_fixed_points",
     "cycle_sort_key",
-    "describe",
     "digit_length",
     "enumerate_cycles",
     "enumerate_fixed_points",
@@ -69,7 +62,6 @@ __all__ = [
     "length_bound",
     "orbit",
     "parse_word",
-    "render",
     "step",
     "word_sort_key",
 ]

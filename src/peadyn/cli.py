@@ -79,6 +79,8 @@ def _base_list(text: str) -> tuple[int, ...]:
         if k not in EXPECTED_FIXED_POINTS:
             choices = ",".join(str(b) for b in sorted(EXPECTED_FIXED_POINTS))
             raise argparse.ArgumentTypeError(f"no expected table for base {k} (have {choices})")
+        if bases.count(k) > 1:
+            raise argparse.ArgumentTypeError(f"base {k} is given more than once")
     return bases
 
 
@@ -127,25 +129,22 @@ def cmd_cycles(args: argparse.Namespace) -> Result:
 
 @cache
 def _load_golden(texts: tuple[str, ...], base: int) -> tuple[frozenset[Word], tuple[str, ...]]:
-    """Parse an expected column and self-check every entry is fixed.
+    """Parse an expected column into words and the texts that do not parse.
 
-    Non-fixed or unparseable entries mean the shipped table is corrupt; they
-    are returned separately so the caller reports them as a FAIL instead of
-    trusting them. Cached on the column's texts, so each distinct column is
-    checked once per process; the results are immutable, since callers share them.
+    Unparseable entries mean the shipped table is corrupt; they are returned
+    separately so the caller reports them as a FAIL. A parsed entry that is
+    not fixed needs no check of its own: enumeration never finds it, so the
+    comparison reports it under extra. Cached on the column's texts, so each
+    distinct column is parsed once per process; the results are immutable,
+    since callers share them.
     """
     good: set[Word] = set()
     corrupt: list[str] = []
     for text in texts:
         try:
-            word = parse_word(text, base)
+            good.add(parse_word(text, base))
         except ValueError:
             corrupt.append(text)
-            continue
-        if step(word, base) != word:
-            corrupt.append(text)
-        else:
-            good.add(word)
     return frozenset(good), tuple(corrupt)
 
 

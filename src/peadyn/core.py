@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import NamedTuple
 
 MIN_BASE = 2
 MAX_BASE = 36  # limit of the 0-9a-z text rendering
@@ -23,7 +22,7 @@ Tally = tuple[int, ...]  # letter counts indexed by letter, length base
 
 
 def check_base(base: int) -> None:
-    if not MIN_BASE <= base <= MAX_BASE:
+    if not isinstance(base, int) or not MIN_BASE <= base <= MAX_BASE:
         raise ValueError(f"base must be in [{MIN_BASE}, {MAX_BASE}], got {base}")
 
 
@@ -89,72 +88,6 @@ def _numeral_digits(n: int, base: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-class Block(NamedTuple):
-    """One (count, letter) unit of a description."""
-
-    count: int
-    letter: int
-
-
-class _DescriptionFields(NamedTuple):
-    blocks: tuple[Block, ...]
-    base: int
-
-
-class Description(_DescriptionFields):
-    """Block list with strictly descending letters, the shape of every image.
-
-    Every output of the step map renders exactly one description, and a fixed
-    point is a word that renders its own.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, blocks: tuple[Block, ...], base: int) -> Description:
-        check_base(base)
-        if not blocks:
-            raise ValueError("description needs at least one block")
-        if len(blocks) > base:
-            raise ValueError(f"{len(blocks)} blocks cannot have distinct letters in base {base}")
-        prev = base
-        for count, letter in blocks:
-            if count < 1:
-                raise ValueError(f"block counts must be positive, got {count}")
-            if letter < 0 or letter >= base:
-                raise ValueError(f"letter {letter} out of range for base {base}")
-            if letter >= prev:
-                raise ValueError("block letters must be strictly descending")
-            prev = letter
-        return super().__new__(cls, blocks, base)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Description:
-        # _replace builds through _make, which would skip the checks
-        return cls(*iterable)
-
-
-def describe(word: Word, base: int) -> Description:
-    """The descending-letter block list of ``word``: how many of each letter.
-
-    Rejects the empty word, which has nothing to describe.
-    """
-    check_base(base)
-    check_word(word, base)
-    if not word:
-        raise ValueError("the empty word has no description")
-    tally = _tally(word, base)
-    blocks = tuple(Block(tally[b], b) for b in range(base - 1, -1, -1) if tally[b])
-    return Description(blocks, base)
-
-
-def render(description: Description) -> Word:
-    """Spell a description out: each count as a base-k numeral, then its letter."""
-    tally = [0] * description.base
-    for count, letter in description.blocks:
-        tally[letter] = count
-    return _spell(tally, description.base)
-
-
 def _tally(word: Iterable[int], base: int) -> list[int]:
     """How many times each letter occurs in ``word``, indexed by letter."""
     tally = [0] * base
@@ -205,8 +138,8 @@ def _tally_image(tally: Sequence[int], base: int) -> Tally:
 def step(word: Word, base: int) -> Word:
     """Apply the counting map once: say how many of each letter, largest first.
 
-    Equal to render(describe(word, base)) for nonempty words; the empty word
-    maps to itself.
+    Each letter present gives its count as a base-k numeral, then the letter;
+    the empty word maps to itself.
     """
     check_base(base)
     check_word(word, base)

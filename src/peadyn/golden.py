@@ -1,10 +1,10 @@
 """Supplied fixed point reference table for bases 2 through 6.
 
-This is the package's only copy of the reference data. Every entry is
-verified fixed: it satisfies step(w) == w under its base, and the
-verify-table command checks exactly that before comparing against a fresh
-enumeration. The lists are kept as supplied, so they need not be complete:
-base 6 lacks the fixed point 15141211110.
+This is the package's only copy of the reference data. Every entry is a
+fixed point: it satisfies step(w) == w under its base. The verify-table
+command compares each list against a fresh enumeration, which reports an
+entry that is not fixed as extra. The lists are kept as supplied, so they
+need not be complete: base 6 lacks the fixed point 15141211110.
 """
 
 EXPECTED_FIXED_POINTS: dict[int, tuple[str, ...]] = {

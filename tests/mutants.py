@@ -62,6 +62,24 @@ MUTANTS = (
         "tests/test_search.py::test_search_matches_brute_force",
     ),
     Mutant(
+        "src/peadyn/dynamics.py",
+        "if cycle[-1] == (start if i == 0 else _spell(list(seen)[i - 1], base)):",
+        "if False:",
+        "tests/test_dynamics.py::test_orbit_when_distinct_tallies_spell_one_word",
+    ),
+    Mutant(
+        "src/peadyn/core.py",
+        "            if c < base:\n                out.append(c)\n",
+        "            if c <= base:\n                out.append(c)\n",
+        "tests/test_core.py::test_spell_counts_at_the_base_boundary",
+    ),
+    Mutant(
+        "src/peadyn/search.py",
+        "all(sum(state) <= limit for state in cycle)",
+        "all(sum(state) <= limit + 1 for state in cycle)",
+        "tests/test_search.py::test_image_walk_finds_every_count_cycle",
+    ),
+    Mutant(
         "tests/reference.py",
         "return all(naive_step(text, base) == texts[(i + 1) % len(texts)] for i, text in enumerate(texts))",
         "return True",

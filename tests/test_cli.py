@@ -240,9 +240,13 @@ def test_verify_table_csv(capsys):
 
 
 def test_verify_table_unknown_base_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-table", "--bases", "7"])
-    assert exc.value.code == 2
+    for bases, message in (("7", "no expected table for base 7"), ("2,3,2", "base 2 is given more than once")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-table", "--bases", bases])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert message in captured.err
 
 
 @pytest.mark.parametrize(
@@ -430,7 +434,7 @@ def test_golden_cache_follows_the_table(capsys, monkeypatch):
     good, corrupt = cli._load_golden(column, 3)
     assert isinstance(good, frozenset) and isinstance(corrupt, tuple)
     assert run(capsys, *verify) == passed
-    # a patched column is a new key, so it is parsed and self-checked again
+    # a patched column is a new key, so it is parsed again
     monkeypatch.setitem(cli.EXPECTED_FIXED_POINTS, 3, column + ("121",))
     code, out, _ = run(capsys, *verify)
     assert code == 1

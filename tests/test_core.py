@@ -2,16 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peadyn import (
-    Block,
-    Description,
-    describe,
-    digit_length,
-    format_word,
-    parse_word,
-    render,
-    step,
-)
+from peadyn import count_fixed_points, digit_length, format_word, length_bound, parse_word, step
 from peadyn.core import _spell, _tally, _tally_image, check_word
 from peadyn.golden import EXPECTED_FIXED_POINTS
 from reference import ALPHABET, check_word_by_letter, naive_step, to_base
@@ -71,6 +62,13 @@ def test_step_rejects_bad_input():
         step((0, 3), 3)
     with pytest.raises(ValueError, match="position 0"):
         step((-1, 0), 3)
+
+
+@pytest.mark.parametrize("base", [3.0, "3"])
+def test_non_integer_base_is_rejected(base):
+    for call in (length_bound, count_fixed_points, lambda k: step((1, 0), k)):
+        with pytest.raises(ValueError, match=r"base must be in \[2, 36\], got 3"):
+            call(base)
 
 
 def check_outcome(check, word, base):
@@ -151,64 +149,11 @@ def test_step_matches_reference(kw):
     assert format_word(step(word, base)) == naive_step(format_word(word), base)
 
 
-@given(bases_and_words())
-def test_step_is_render_of_describe(kw):
-    base, word = kw
-    assert step(word, base) == render(describe(word, base))
-
-
-@given(bases_and_words(max_base=10, max_len=200))
-def test_description_counts_conserve_length(kw):
-    base, word = kw
-    d = describe(word, base)
-    assert sum(count for count, _ in d.blocks) == len(word)
-
-
 @given(bases_and_words(max_base=8, max_len=400))
 def test_growth_bound(kw):
     # |step(x)| <= k * (floor(log_k |x|) + 2); digit_length is the floor-log plus one
     base, word = kw
     assert len(step(word, base)) <= base * (digit_length(len(word), base) + 1)
-
-
-def test_describe_example_base10():
-    d = describe(parse_word("123", 10), 10)
-    assert d.blocks == (Block(1, 3), Block(1, 2), Block(1, 1))
-    assert d.base == 10
-
-
-def test_describe_skips_absent_letters():
-    d = describe((1, 1, 1), 2)
-    assert d.blocks == (Block(3, 1),)
-
-
-def test_describe_rejects_empty():
-    with pytest.raises(ValueError):
-        describe((), 2)
-
-
-def test_render_examples():
-    assert format_word(render(Description((Block(3, 1),), 2))) == "111"
-    assert format_word(render(Description((Block(4, 1), Block(3, 0)), 2))) == "1001110"
-    assert format_word(render(Description((Block(1, 3), Block(1, 2), Block(1, 1)), 10))) == "131211"
-
-
-@pytest.mark.parametrize(
-    "blocks,base",
-    [
-        ((), 2),
-        ((Block(0, 1),), 2),
-        ((Block(-2, 1),), 2),
-        ((Block(1, 2),), 2),
-        ((Block(1, -1),), 2),
-        ((Block(1, 0), Block(1, 1)), 3),  # ascending letters
-        ((Block(1, 1), Block(1, 1)), 3),  # repeated letter
-        ((Block(1, 2), Block(1, 1), Block(1, 0)), 2),  # more blocks than letters
-    ],
-)
-def test_description_validation(blocks, base):
-    with pytest.raises(ValueError):
-        Description(tuple(blocks), base)
 
 
 @given(st.integers(1, 10**9), st.integers(2, 36))

@@ -4,10 +4,8 @@ import pytest
 
 from peadyn import (
     CycleRecord,
-    Description,
     OrbitResult,
     brute_force_classify,
-    describe,
     enumerate_cycles,
     length_bound,
     orbit,
@@ -22,9 +20,6 @@ def test_reprs():
         "OrbitResult(start=(1, 1, 1), transient=0, period=1, cycle=((1, 1, 1),), steps_taken=1)"
     )
     assert repr(length_bound(2)) == "BoundInfo(base=2, length_bound=8, words_up_to_bound=510)"
-    assert repr(describe((1, 0, 0), 2)) == (
-        "Description(blocks=(Block(count=1, letter=1), Block(count=2, letter=0)), base=2)"
-    )
     assert repr(brute_force_classify(2, 4)) == (
         "ClassificationReport(base=2, fixed_points=((1, 1, 1),), cycles=(), search_length_limit=4)"
     )
@@ -54,16 +49,12 @@ def test_keyword_construction_is_checked_like_positional():
             CycleRecord(**dict(zip(("base", "period", "words"), args)))
         assert str(keyword.value) == str(positional.value)
     assert CycleRecord(base=3, period=3, words=BASE3_CYCLE) == CycleRecord(3, 3, BASE3_CYCLE)
-    with pytest.raises(ValueError, match="strictly descending"):
-        Description(base=3, blocks=((1, 0), (1, 1)))
 
 
 def test_replace_is_checked():
     record = CycleRecord(3, 3, BASE3_CYCLE)
     with pytest.raises(ValueError, match="period must match"):
         record._replace(period=2)
-    with pytest.raises(ValueError, match="base must be in"):
-        describe((1, 0, 0), 2)._replace(base=1)
     assert record._replace(base=4) == CycleRecord(4, 3, BASE3_CYCLE)
 
 

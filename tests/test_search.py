@@ -17,13 +17,11 @@ from peadyn import (
     canonical_cycle,
     count_fixed_points,
     cycle_sort_key,
-    describe,
     enumerate_cycles,
     enumerate_fixed_points,
     format_word,
     length_bound,
     parse_word,
-    render,
     step,
     word_sort_key,
 )
@@ -104,11 +102,10 @@ def test_fixed_points_base6_finds_the_extra_word():
 def test_fixed_points_describe_themselves(base):
     bound = length_bound(base).length_bound
     for word in enumerate_fixed_points(base):
-        d = describe(word, base)
-        assert render(d) == word
-        assert sum(c for c, _ in d.blocks) == len(word)
+        text = format_word(word)
+        assert naive_step(text, base) == text
         assert len(word) <= bound
-        assert fixed_point_inequality_holds(format_word(word), base)
+        assert fixed_point_inequality_holds(text, base)
 
 
 @pytest.mark.parametrize("base", [5, 6])
