@@ -10,7 +10,6 @@ from .core import (
     MAX_BASE,
     MIN_BASE,
     Word,
-    digit_length,
     format_word,
     parse_word,
     step,
@@ -55,7 +54,6 @@ __all__ = [
     "canonical_cycle",
     "count_fixed_points",
     "cycle_sort_key",
-    "digit_length",
     "enumerate_cycles",
     "enumerate_fixed_points",
     "format_word",

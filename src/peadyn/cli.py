@@ -234,7 +234,3 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in ERROR_EXITS.items() if isinstance(exc, error))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -67,17 +67,6 @@ def format_word(word: Word) -> str:
     return "".join(_DIGITS[letter] for letter in word)
 
 
-def digit_length(n: int, base: int) -> int:
-    """Number of base-k digits of a positive integer."""
-    if n < 1:
-        raise ValueError(f"digit_length needs a positive integer, got {n}")
-    d = 0
-    while n:
-        d += 1
-        n //= base
-    return d
-
-
 @lru_cache(maxsize=None)
 def _numeral_digits(n: int, base: int) -> tuple[int, ...]:
     digits = []
@@ -93,6 +82,18 @@ def _tally(word: Iterable[int], base: int) -> list[int]:
     tally = [0] * base
     for letter in word:
         tally[letter] += 1
+    return tally
+
+
+def _digit_tally(counts: tuple[int, ...], base: int) -> list[int]:
+    """How often each letter occurs among the base-k numerals of ``counts``."""
+    tally = [0] * base
+    for c in counts:
+        if c < base:  # a one-digit numeral, the common case
+            tally[c] += 1
+        else:
+            for d in _numeral_digits(c, base):
+                tally[d] += 1
     return tally
 
 

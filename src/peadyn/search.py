@@ -87,11 +87,11 @@ from typing import NamedTuple
 from .core import (
     Tally,
     Word,
+    _digit_tally,
     _numeral_digits,
     _spell,
     _tally_image,
     check_base,
-    digit_length,
 )
 from .dynamics import DEFAULT_MAX_STEPS, State, _walk, length_bound
 
@@ -279,18 +279,6 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
     return {_spell(member[0], base) for family in families for member in _family_members(*family)}
 
 
-def _digit_tally(counts: tuple[int, ...], base: int) -> list[int]:
-    """How often each letter occurs among the base-k numerals of ``counts``."""
-    tally = [0] * base
-    for c in counts:
-        if c < base:  # a one-digit numeral, the common case
-            tally[c] += 1
-        else:
-            for d in _numeral_digits(c, base):
-                tally[d] += 1
-    return tally
-
-
 def _count_image(counts: tuple[int, ...], base: int) -> tuple[int, ...]:
     """h, the sorted counts of step(w) for a word w with these counts that holds its digits."""
     forced = [t + 1 for t in _digit_tally(counts, base) if t]
@@ -338,7 +326,7 @@ def enumerate_cycles(
     if limit < 2:
         raise ValueError(f"cycle search needs a length limit of at least 2, got {limit}")
     allowed = DEFAULT_BUDGET if budget is None else budget
-    digits = digit_length(min(limit, cap), base)
+    digits = len(_numeral_digits(min(limit, cap), base))
     families: list[tuple[tuple[Tally, ...], int]] = []
     for r in range(1, min(base, limit) + 1):
         most = min(limit - r, digits * r)  # the excess D of any state of a cycle that fits

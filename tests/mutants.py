@@ -97,6 +97,18 @@ MUTANTS = (
         "return True",
         "tests/test_search.py::test_cycle_inequality_examples",
     ),
+    Mutant(
+        "src/peadyn/search.py",
+        "if grown.get(key, -1) < left - c:",
+        "if True:",
+        "tests/test_search.py::test_brute_force_walks_first_images",
+    ),
+    Mutant(
+        "src/peadyn/core.py",
+        "            for d in _numeral_digits(c, base):\n                tally[d] += 1\n",
+        "            pass\n",
+        "tests/test_search.py::test_fixed_points_match_expected_table",
+    ),
 )
 
 

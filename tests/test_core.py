@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peadyn import count_fixed_points, digit_length, format_word, length_bound, parse_word, step
-from peadyn.core import _spell, _tally, _tally_image, check_word
+from peadyn import count_fixed_points, format_word, length_bound, parse_word, step
+from peadyn.core import _digit_tally, _spell, _tally, _tally_image, check_word
 from peadyn.golden import EXPECTED_FIXED_POINTS
 from reference import ALPHABET, check_word_by_letter, naive_step, to_base
 
@@ -115,19 +115,27 @@ def test_check_word_edge_letters_match_letter_loop(word, base):
     assert check_outcome(check_word, word, base) == check_outcome(check_word_by_letter, word, base)
 
 
+def letter_counts(text, base):
+    return [text.count(ALPHABET[b]) for b in range(base)]
+
+
 @pytest.mark.parametrize("base", range(2, 37))
 def test_spell_counts_at_the_base_boundary(base):
+    # _spell and _digit_tally each write a count as a numeral; both must agree with to_base
     for c in sorted({1, base - 1, base, base + 1, base**2 - 1, base**2, base**2 + 1}):
         for letter in (0, base - 1):
             tally = [0] * base
             tally[letter] = c
             assert format_word(_spell(tally, base)) == to_base(c, base) + ALPHABET[letter], c
+        assert _digit_tally((c,), base) == letter_counts(to_base(c, base), base), c
     # counts below, at and above the base side by side in one tally
     tally = [(1, base - 1, base, base + 1, base**2 + 1, 0)[b % 6] for b in range(base)]
     expected = "".join(
         to_base(tally[b], base) + ALPHABET[b] for b in range(base - 1, -1, -1) if tally[b]
     )
     assert format_word(_spell(tally, base)) == expected
+    counts = tuple(c for c in tally if c)
+    assert _digit_tally(counts, base) == letter_counts("".join(to_base(c, base) for c in counts), base)
 
 
 @settings(max_examples=300)
@@ -151,20 +159,9 @@ def test_step_matches_reference(kw):
 
 @given(bases_and_words(max_base=8, max_len=400))
 def test_growth_bound(kw):
-    # |step(x)| <= k * (floor(log_k |x|) + 2); digit_length is the floor-log plus one
+    # |step(x)| <= k * (floor(log_k |x|) + 2); the digit count of |x| is the floor-log plus one
     base, word = kw
-    assert len(step(word, base)) <= base * (digit_length(len(word), base) + 1)
-
-
-@given(st.integers(1, 10**9), st.integers(2, 36))
-def test_digit_length_matches_reference(n, base):
-    assert digit_length(n, base) == len(to_base(n, base))
-
-
-@pytest.mark.parametrize("n", [0, -1])
-def test_digit_length_rejects_nonpositive(n):
-    with pytest.raises(ValueError, match=f"positive integer, got {n}"):
-        digit_length(n, 10)
+    assert len(step(word, base)) <= base * (len(to_base(len(word), base)) + 1)
 
 
 def test_parse_format_roundtrip_examples():

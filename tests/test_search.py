@@ -27,7 +27,7 @@ from peadyn import (
 )
 from peadyn import search
 from peadyn.golden import EXPECTED_FIXED_POINTS
-from peadyn.core import _spell, digit_length
+from peadyn.core import _spell
 from peadyn.dynamics import DEFAULT_MAX_STEPS, _walk
 from peadyn.search import (
     DEFAULT_BUDGET,
@@ -38,7 +38,7 @@ from peadyn.search import (
 )
 from expected_cycles import EXPECTED_CYCLES
 from oracle_check import check_tally_oracle, texts
-from reference import description_space_fixed_points, image_words, naive_step, rotated, terminal_cycle
+from reference import description_space_fixed_points, image_words, naive_step, rotated, terminal_cycle, to_base
 from reference import verify_base2_convergence, word_by_word_classify
 from reference import closes_under_step, cycle_inequality_holds, fixed_point_inequality_holds
 
@@ -290,10 +290,15 @@ def test_brute_force_budget_guard(monkeypatch):
     assert brute_force_classify(2, 8, budget=44) == brute_force_classify(2, 8)
 
 
-def test_brute_force_walks_first_images(monkeypatch):
+@pytest.mark.parametrize(
+    "base, max_len, tallies, images", [(3, 7, 119, 44), (3, 20, 1770, 132), (4, 20, 10625, 446)]
+)
+def test_brute_force_walks_first_images(monkeypatch, base, max_len, tallies, images):
     # the 119 tallies of 1..7 letters in base 3 have 44 first images; the
     # sweep starts a walk from each (letter set, digit tally) pair, and no
-    # pair comes from two tallies, so it starts fewer walks than tallies
+    # pair comes from two tallies, so it starts fewer walks than tallies.
+    # The longer cases hold digit tallies that two count multisets reach
+    # with different sums, where the sweep must keep the larger leftover
     starts = []
     walk = search._walk
 
@@ -302,12 +307,12 @@ def test_brute_force_walks_first_images(monkeypatch):
         return walk(start, *args)
 
     monkeypatch.setattr(search, "_walk", recording)
-    brute_force_classify(3, 7)
-    tallies = [t for t in product(range(8), repeat=3) if 0 < sum(t) <= 7]
-    images = {search._tally_image(t, 3) for t in tallies}
-    assert (len(tallies), len(images)) == (119, 44)
-    assert set(starts) == images
-    assert len(starts) < len(tallies)
+    brute_force_classify(base, max_len)
+    every = [t for t in product(range(max_len + 1), repeat=base) if 0 < sum(t) <= max_len]
+    first = {search._tally_image(t, base) for t in every}
+    assert (len(every), len(first)) == (tallies, images)
+    assert set(starts) == first
+    assert len(starts) < tallies
 
 
 def test_fixed_point_search_budget_guard():
@@ -353,7 +358,7 @@ def test_digit_cap_is_the_digits_of_the_length_cap():
     # cycle can have, is the digit count of the length cap for every base
     for base in range(2, 37):
         most = max(d for d in range(1, 10) if base ** (d - 1) <= 1 + base * d)
-        assert most == digit_length(length_bound(base).length_bound, base), base
+        assert most == len(to_base(length_bound(base).length_bound, base)), base
 
 
 def test_long_limits_walk_few_states():
@@ -390,7 +395,7 @@ def full_walk_cycles(base, limit):
 
 def image_walk_cycles(base, limit):
     """h-cycles of period >= 2 under the limit, from the image states alone, one r at a time."""
-    digits = digit_length(limit, base)
+    digits = len(to_base(limit, base))
     found = set()
     for r in range(1, min(base, limit) + 1):
         seen, registry = {}, []
