@@ -31,7 +31,6 @@ from .search import (
     canonical_cycle,
     count_fixed_points,
     enumerate_cycles,
-    cycle_sort_key,
     enumerate_fixed_points,
     word_sort_key,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "brute_force_classify",
     "canonical_cycle",
     "count_fixed_points",
-    "cycle_sort_key",
     "enumerate_cycles",
     "enumerate_fixed_points",
     "format_word",

@@ -15,11 +15,11 @@ import sys
 from functools import cache
 from typing import NamedTuple
 
-from .core import Word, format_word, parse_word, step
+from .core import format_word, parse_word, step
 from .dynamics import DEFAULT_MAX_STEPS, OrbitLimitExceeded, length_bound, orbit
 from .golden import EXPECTED_FIXED_POINTS
-from .search import (DEFAULT_BUDGET, BudgetExceeded, count_fixed_points,
-                     cycle_sort_key, enumerate_cycles, enumerate_fixed_points, word_sort_key)
+from .search import (DEFAULT_BUDGET, BudgetExceeded, count_fixed_points, enumerate_cycles,
+                     enumerate_fixed_points, word_sort_key)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -119,7 +119,7 @@ def cmd_fixed_points(args: argparse.Namespace) -> Result:
 def cmd_cycles(args: argparse.Namespace) -> Result:
     limit = args.length_limit or length_bound(args.base).length_bound
     records = enumerate_cycles(args.base, limit, budget=args.budget)
-    cycles = [(c.period, [format_word(w) for w in c.words]) for c in sorted(records, key=cycle_sort_key)]
+    cycles = [(c.period, [format_word(w) for w in c.words]) for c in sorted(records)]
     payload = {"base": args.base, "length_limit": limit,
                "cycles": [{"period": period, "words": words} for period, words in cycles]}
     rows = [(args.base, period, i, w) for period, words in cycles for i, w in enumerate(words, start=1)]
@@ -127,37 +127,18 @@ def cmd_cycles(args: argparse.Namespace) -> Result:
     return Result(payload, ("base", "period", "position", "word"), rows, lines)
 
 
-@cache
-def _load_golden(texts: tuple[str, ...], base: int) -> tuple[frozenset[Word], tuple[str, ...]]:
-    """Parse an expected column into words and the texts that do not parse.
-
-    Unparseable entries mean the shipped table is corrupt; they are returned
-    separately so the caller reports them as a FAIL. A parsed entry that is
-    not fixed needs no check of its own: enumeration never finds it, so the
-    comparison reports it under extra. Cached on the column's texts, so each
-    distinct column is parsed once per process; the results are immutable,
-    since callers share them.
-    """
-    good: set[Word] = set()
-    corrupt: list[str] = []
-    for text in texts:
-        try:
-            good.add(parse_word(text, base))
-        except ValueError:
-            corrupt.append(text)
-    return frozenset(good), tuple(corrupt)
-
-
 def cmd_verify_table(args: argparse.Namespace) -> Result:
     results = []
     lines = []
     for base in args.bases:
-        expected, corrupt = _load_golden(EXPECTED_FIXED_POINTS[base], base)
-        found = enumerate_fixed_points(base)
-        missing = [format_word(w) for w in sorted(found - expected, key=word_sort_key)]
-        extra = [format_word(w) for w in sorted(expected - found, key=word_sort_key)] + sorted(corrupt)
+        # compared as text: an entry that does not parse, or is not fixed, matches no found
+        # word and lands under extra; 0-9a-z sort by letter value, so texts sort as words
+        expected = set(EXPECTED_FIXED_POINTS[base])
+        found = {format_word(w) for w in enumerate_fixed_points(base)}
+        missing = sorted(found - expected, key=word_sort_key)
+        extra = sorted(expected - found, key=word_sort_key)
         status = "fail" if missing or extra else "pass"
-        results.append({"base": base, "status": status, "expected": len(expected) + len(corrupt),
+        results.append({"base": base, "status": status, "expected": len(expected),
                         "found": len(found), "missing": missing, "extra": extra})
         verdict = f"PASS ({len(found)} fixed points)" if status == "pass" else "FAIL"
         gaps = "".join(f" {k}: {' '.join(v)}" for k, v in (("missing", missing), ("extra", extra)) if v)

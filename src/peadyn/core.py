@@ -142,6 +142,7 @@ def step(word: Word, base: int) -> Word:
     Each letter present gives its count as a base-k numeral, then the letter;
     the empty word maps to itself.
     """
+    word = tuple(word)  # a one-shot iterable is read once, here; a tuple is not copied
     check_base(base)
     check_word(word, base)
     return _spell(_tally(word, base), base)

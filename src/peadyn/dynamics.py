@@ -107,6 +107,7 @@ def orbit(start: Word, base: int, max_steps: int = DEFAULT_MAX_STEPS) -> OrbitRe
     are spelled. Raises OrbitLimitExceeded if the words do not repeat within
     ``max_steps`` applications.
     """
+    start = tuple(start)  # a one-shot iterable is read once, here; a tuple is not copied
     check_base(base)
     check_word(start, base)
     if not start:

@@ -2,9 +2,10 @@
 
 This is the package's only copy of the reference data. Every entry is a
 fixed point: it satisfies step(w) == w under its base. The verify-table
-command compares each list against a fresh enumeration, which reports an
-entry that is not fixed as extra. The lists are kept as supplied, so they
-need not be complete: base 6 lacks the fixed point 15141211110.
+command compares each list as text with the spelled words of a fresh
+enumeration, so an entry that does not parse, or is not fixed, is extra.
+The lists are kept as supplied, so they need not be complete: base 6 lacks
+the fixed point 15141211110.
 """
 
 EXPECTED_FIXED_POINTS: dict[int, tuple[str, ...]] = {

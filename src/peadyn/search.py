@@ -78,7 +78,7 @@ count is pushed and popped, and calls h only on the candidates that pass:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 from math import comb
 from operator import add
@@ -159,14 +159,15 @@ def word_sort_key(word: Word) -> tuple[int, Word]:
     return (len(word), word)
 
 
-def cycle_sort_key(record: CycleRecord) -> tuple[int, Word]:
-    return (record.period, record.words[0])
-
-
 def canonical_cycle(words: tuple[Word, ...], base: int) -> CycleRecord:
     """Build a CycleRecord rotated so the smallest word leads."""
     pivot = words.index(min(words))
     return CycleRecord(base=base, period=len(words), words=words[pivot:] + words[:pivot])
+
+
+def _cycle_record(tallies: Iterable[Sequence[int]], base: int) -> CycleRecord:
+    """The record of the word cycle that spells ``tallies`` in order."""
+    return canonical_cycle(tuple(_spell(t, base) for t in tallies), base)
 
 
 def _fixed_point_walk(
@@ -238,7 +239,7 @@ def _family(cycle: tuple[tuple[int, ...], ...], base: int) -> tuple[tuple[Tally,
 
 def _family_size(forced: tuple[Tally, ...], ones: int) -> int:
     """How many members the family (forced, ones) has: one per choice of its free letters."""
-    return comb(forced[0].count(0), ones) if ones >= 0 else 0
+    return comb(forced[0].count(0), ones)
 
 
 def _family_members(forced: tuple[Tally, ...], ones: int) -> Iterator[list[list[int]]]:
@@ -315,10 +316,11 @@ def enumerate_cycles(
     Complete for the default length limit (the eventual orbit length cap).
     Each cycle of period >= 2 of ``_count_image`` that fits is expanded into
     its family of word cycles; the walk, one r at a time over the images of
-    h alone, is in the module docstring. The budget caps the words listed,
-    default ``DEFAULT_BUDGET``: each slice adds its families' words, summed
-    from the family sizes, and the first slice that passes the budget
-    raises ``BudgetExceeded`` before any word is spelled.
+    h alone, is in the module docstring. A family with no members, whose
+    digit support U has more than r letters, is not kept. The budget caps
+    the words listed, default ``DEFAULT_BUDGET``: each slice adds its
+    families' words, summed from the family sizes, and the first slice that
+    passes the budget raises ``BudgetExceeded`` before any word is spelled.
     """
     check_base(base)
     cap = length_bound(base).length_bound
@@ -334,16 +336,13 @@ def enumerate_cycles(
         for counts in _image_states(r, min(most, r + most // (base - 1)), r):
             cycle = _walk(counts, _count_image, base, seen, DEFAULT_MAX_STEPS)
             if len(cycle) >= 2 and all(sum(state) <= limit for state in cycle):
-                families.append(_family(cycle, base))
+                forced, ones = _family(cycle, base)
+                if ones >= 0:  # else |U| > r and the family is empty
+                    families.append((forced, ones))
         needed = sum(len(forced) * _family_size(forced, ones) for forced, ones in families)
         if needed > allowed:
             raise BudgetExceeded(f"cycle search in base {base} needs at least {needed} words, budget is {allowed}")
-    return {
-        canonical_cycle(tuple(_spell(t, base) for t in member), base)
-        for family in families
-        if _family_size(*family)
-        for member in _family_members(*family)
-    }
+    return {_cycle_record(member, base) for family in families for member in _family_members(*family)}
 
 
 def brute_force_classify(
@@ -414,10 +413,7 @@ def brute_force_classify(
                     registry.append(cycle)
     # a fixed word's length is the sum of its tally
     fixed = [_spell(cycle[0], base) for cycle in registry if len(cycle) == 1 and sum(cycle[0]) <= max_len]
-    cycles = sorted(
-        (canonical_cycle(tuple(_spell(t, base) for t in cycle), base) for cycle in registry if len(cycle) >= 2),
-        key=cycle_sort_key,
-    )
+    cycles = sorted(_cycle_record(cycle, base) for cycle in registry if len(cycle) >= 2)
     return ClassificationReport(
         base=base,
         fixed_points=tuple(sorted(fixed, key=word_sort_key)),

@@ -283,6 +283,17 @@ def test_verify_table_corrupted_entry_not_fixed(capsys, monkeypatch):
     assert "base 3: FAIL extra: 121" in out.splitlines()
 
 
+def test_verify_table_extra_is_in_word_order(capsys, monkeypatch):
+    # one unparseable entry and one that is not fixed, sorted shortest first like every word list
+    monkeypatch.setitem(cli.EXPECTED_FIXED_POINTS, 3, cli.EXPECTED_FIXED_POINTS[3] + ("3", "121"))
+    code, out, _ = run(capsys, "verify-table", "--bases", "3", "--format", "json")
+    assert code == 1
+    entry = json.loads(out)["results"][0]
+    assert entry["extra"] == ["3", "121"]
+    assert entry["missing"] == []
+    assert (entry["expected"], entry["found"]) == (9, 7)
+
+
 def test_bound_json(capsys):
     code, out, _ = run(capsys, "bound", "-k", "6", "--format", "json")
     assert code == 0
@@ -427,14 +438,12 @@ def test_parser_is_built_once_and_reused(capsys):
         assert printed[0].out.startswith("usage: peadyn"), argv
 
 
-def test_golden_cache_follows_the_table(capsys, monkeypatch):
+def test_verify_table_follows_a_patched_table(capsys, monkeypatch):
     column = cli.EXPECTED_FIXED_POINTS[3]
     verify = ("verify-table", "--bases", "3", "--format", "table")
     passed = (0, "base 3: PASS (7 fixed points)\noverall: PASS\n", "")
-    good, corrupt = cli._load_golden(column, 3)
-    assert isinstance(good, frozenset) and isinstance(corrupt, tuple)
     assert run(capsys, *verify) == passed
-    # a patched column is a new key, so it is parsed again
+    # each call reads the table as it is then
     monkeypatch.setitem(cli.EXPECTED_FIXED_POINTS, 3, column + ("121",))
     code, out, _ = run(capsys, *verify)
     assert code == 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from peadyn import cycle_sort_key, enumerate_cycles, enumerate_fixed_points, format_word, word_sort_key
+from peadyn import enumerate_cycles, enumerate_fixed_points, format_word, word_sort_key
 from peadyn.cli import main
 
 
@@ -31,7 +31,7 @@ def test_cycles_length_limit(capsys):
     assert payload["length_limit"] == 12
     expected = [
         {"period": rec.period, "words": [format_word(w) for w in rec.words]}
-        for rec in sorted(enumerate_cycles(7, 12), key=cycle_sort_key)
+        for rec in sorted(enumerate_cycles(7, 12))
     ]
     assert len(expected) == 3
     assert payload["cycles"] == expected

@@ -194,6 +194,15 @@ def test_orbit_max_steps():
         orbit(w, 2, max_steps=1)
 
 
+def test_step_and_orbit_read_a_one_shot_iterable_once():
+    assert step((x for x in (1, 1, 1)), 2) == (1, 1, 1)
+    with pytest.raises(ValueError, match="position 0"):
+        step(iter([5]), 2)
+    with pytest.raises(ValueError, match="position 0"):
+        orbit(iter([5]), 2)
+    assert orbit(iter((1, 0)), 2) == orbit((1, 0), 2)
+
+
 def test_orbit_rejects_bad_input():
     with pytest.raises(ValueError):
         orbit((), 2)
