@@ -105,8 +105,9 @@ def _spell(tally: Sequence[int], base: int) -> Word:
     numeral, so only counts of k or more go through the numeral cache.
     """
     out: list[int] = []
-    for b in range(base - 1, -1, -1):
-        c = tally[b]
+    b = base
+    for c in reversed(tally):
+        b -= 1
         if c:
             if c < base:
                 out.append(c)
@@ -124,15 +125,13 @@ def _tally_image(tally: Sequence[int], base: int) -> Tally:
     from the numeral cache. So one step of the map costs O(k) on tallies,
     whatever the length of the word.
     """
-    out = [0] * base
-    for b, c in enumerate(tally):
-        if c:
-            out[b] += 1
-            if c < base:
-                out[c] += 1
-            else:
-                for d in _numeral_digits(c, base):
-                    out[d] += 1
+    out = [1 if c else 0 for c in tally]
+    for c in filter(None, tally):
+        if c < base:
+            out[c] += 1
+        else:
+            for d in _numeral_digits(c, base):
+                out[d] += 1
     return tuple(out)
 
 

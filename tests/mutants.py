@@ -46,8 +46,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/peadyn/core.py",
-        "                for d in _numeral_digits(c, base):\n                    out[d] += 1\n",
-        "                pass\n",
+        "            for d in _numeral_digits(c, base):\n                out[d] += 1\n",
+        "            pass\n",
         "tests/test_core.py::test_tally_image_is_the_tally_of_the_spelling",
     ),
     Mutant(
@@ -115,6 +115,18 @@ MUTANTS = (
         "extra = sorted(expected - found, key=word_sort_key)",
         "extra = []",
         "tests/test_cli.py::test_verify_table_corrupted_entry_not_fixed",
+    ),
+    Mutant(
+        "src/peadyn/core.py",
+        "[1 if c else 0 for c in tally]",
+        "[0] * base",
+        "tests/test_core.py::test_spell_and_tally_image_match_the_referee",
+    ),
+    Mutant(
+        "src/peadyn/core.py",
+        "b = base\n",
+        "b = base - 1\n",
+        "tests/test_core.py::test_spell_and_tally_image_match_the_referee",
     ),
 )
 

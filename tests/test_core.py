@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peadyn import count_fixed_points, format_word, length_bound, parse_word, step
+from peadyn import count_fixed_points, format_word, length_bound, orbit, parse_word, step
 from peadyn.core import _digit_tally, _spell, _tally, _tally_image, check_word
 from peadyn.golden import EXPECTED_FIXED_POINTS
 from reference import ALPHABET, check_word_by_letter, naive_step, to_base
@@ -94,6 +94,31 @@ def test_check_word_matches_letter_loop(kw):
     assert check_outcome(check_word, word, base) == check_outcome(check_word_by_letter, word, base)
 
 
+@settings(max_examples=300)
+@given(
+    st.integers(2, 36).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.one_of(
+                    st.integers(0, k - 1),
+                    st.integers(-3 * k, 3 * k),
+                    st.integers(-2 * k, -k - 1),  # letters a check folded into the tally loop would index
+                    st.booleans(),
+                ),
+                min_size=1,
+                max_size=40,
+            ).map(tuple),
+        )
+    )
+)
+def test_step_and_orbit_reject_what_the_letter_loop_rejects(kw):
+    base, word = kw
+    expected = check_outcome(check_word_by_letter, word, base)
+    assert check_outcome(step, word, base) == expected
+    assert check_outcome(orbit, word, base) == expected
+
+
 @pytest.mark.parametrize(
     "word,base",
     [
@@ -136,6 +161,21 @@ def test_spell_counts_at_the_base_boundary(base):
     assert format_word(_spell(tally, base)) == expected
     counts = tuple(c for c in tally if c)
     assert _digit_tally(counts, base) == letter_counts("".join(to_base(c, base) for c in counts), base)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(2, 36).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.integers(0, k * k + 1), min_size=k, max_size=k))
+    )
+)
+def test_spell_and_tally_image_match_the_referee(case):
+    # orbit walks tuples and the searches pass lists, so both kernels take each
+    base, counts = case
+    expected = "".join(to_base(counts[b], base) + ALPHABET[b] for b in range(base - 1, -1, -1) if counts[b])
+    for tally in (tuple(counts), list(counts)):
+        assert format_word(_spell(tally, base)) == expected
+        assert _tally_image(tally, base) == tuple(letter_counts(expected, base))
 
 
 @settings(max_examples=300)
