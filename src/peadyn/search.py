@@ -64,16 +64,36 @@ nondecreasing tuples, with two cuts:
 - The core size is |F| <= k. Outside base 2, where count 2 is spelled "10"
   and lowers m1 by 1, every count adds c - len(c) - 1 >= 0 to m1, so once
   the core size plus m1 passes k no longer core comes back under it. This
-  alone keeps the walk finite with no length limit: c - len(c) - 1 <= k caps
-  every count at about k + 3.
+  cut alone keeps the walk finite with no length limit: c - len(c) - 1 <= k
+  caps every count at about k + 3.
 
 A third cut spares h itself. Let F be the digit support of the core's
 numerals. The numerals of M have support F plus the letter 1 if m1 > 0, h
 gives each letter of that support a count >= 2 and every other letter 1, so
 h(M) = M only if that support has exactly len(core) letters. The walk
 carries F down as a digit tally and its number of letters, updated as each
-count is pushed and popped, and calls h only on the candidates that pass:
-52,922 of the 517,905 cores of bases 2..36.
+count is pushed and popped, and calls h only on the candidates that pass.
+
+A fourth cut, the m1 cut, comes from the largest count. Write the core as
+c_1 <= ... <= c_s and e(c) = c - len(c) - 1, so m1 = sum(e(c_i)). Then the
+counts before the largest add at most its digits to m1:
+
+    sum(e(c_i) for i < s) <= len(c_s).
+
+If m1 > 0, the m1 counts of 1 are spelled "1", so the letter 1 is in the
+support and its image count, at least m1 + 1, is a core count: c_s >= m1 + 1,
+which rearranges to the bound. If m1 = 0, the left side is -e(c_s) =
+len(c_s) + 1 - c_s < len(c_s), as c_s >= 2. The walk uses it twice. It calls
+h on a core ending in c only if the m1 of the counts before c is at most
+len(c). And it grows no longer core from one whose m1 passes the digits of
+the length limit, which no count has more of: a longer core holds all of
+this one before its largest count, and the counts it adds before that one
+lower m1 only if they are count 2 of base 2. So the walk still grows a core
+whose last count lowered m1, and past a count >= 3 no count does. This use
+needs the limit's digits, so the core-size cut is still what keeps the walk
+finite with no limit. At the caps of bases 2..36 the walk grows 26,040
+cores in 2,509 calls and calls h 1,235 times; without the m1 cut it grew
+517,905 cores and called h 52,922 times.
 """
 
 from __future__ import annotations
@@ -191,6 +211,7 @@ def _fixed_point_walk(
     size = len(core) + 1  # of each grown core
     if size > base:
         return
+    room = len(_numeral_digits(limit, base))  # no count has more digits
     for c in range(low, limit + 1):
         numeral = _numeral_digits(c, base)
         extra = c - len(numeral) - 1  # what c adds to m1
@@ -200,13 +221,14 @@ def _fixed_point_walk(
         for d in numeral:
             letters += not digits[d]
             digits[d] += 1
-        # the support cut: h gives each letter of F, and the 1 of a count of 1, a count >= 2
+        # the support cut, then the m1 cut: the counts before the largest add at most its digits to m1
         grown = core + (c,)
-        if m1 >= 0 and letters + (m1 > 0 and not digits[1]) == size:
+        if m1 >= 0 and letters + (m1 > 0 and not digits[1]) == size and ones <= len(numeral):
             counts = (1,) * m1 + grown
             if _count_image(counts, base) == counts:
                 families.append(_family((counts,), base))
-        _fixed_point_walk(base, limit, families, c, grown, length + c, m1, digits, letters)
+        if m1 <= room or extra < 0:  # else no larger count ends a fixed point
+            _fixed_point_walk(base, limit, families, c, grown, length + c, m1, digits, letters)
         for d in numeral:
             digits[d] -= 1
             letters -= not digits[d]

@@ -9,8 +9,8 @@ the new text, and the named test runs there under pytest with
 every mutant that survives and exits 1.
 
 Mutants are only ever added, or moved to the line that takes over what their
-old line did. An equivalent mutant, one that changes no output (a loosened
-support cut, say), survives every test and does not belong here.
+old line did. A mutant that changes no output (a loosened cut, say) belongs
+here only if a test pins the work that the mutated line saves.
 """
 
 import os
@@ -127,6 +127,18 @@ MUTANTS = (
         "b = base\n",
         "b = base - 1\n",
         "tests/test_core.py::test_spell_and_tally_image_match_the_referee",
+    ),
+    Mutant(
+        "src/peadyn/search.py",
+        "ones <= len(numeral)",
+        "ones < len(numeral)",
+        "tests/test_search.py::test_fixed_points_match_expected_table",
+    ),
+    Mutant(
+        "src/peadyn/search.py",
+        "if m1 <= room or extra < 0:",
+        "if True:",
+        "tests/test_search.py::test_m1_cut_spares_the_core_walk",
     ),
 )
 

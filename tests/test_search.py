@@ -525,7 +525,8 @@ def test_fixed_point_counts_of_every_base():
 
 def test_support_cut_spares_count_image(monkeypatch):
     # h runs only on cores whose digit support, with the 1 of a count of 1,
-    # has one letter per core count: 2,076 candidates, not 11,038 without the cut
+    # has one letter per core count, and whose counts before the largest add
+    # at most its digits to m1: 371 candidates, 2,076 with the support cut alone
     candidates = []
 
     def recording(counts, base):
@@ -535,7 +536,24 @@ def test_support_cut_spares_count_image(monkeypatch):
     monkeypatch.setattr(search, "_count_image", recording)
     for base in range(2, 21):
         count_fixed_points(base)
-    assert len(candidates) == 2076
+    assert len(candidates) == 371
+
+
+def test_m1_cut_spares_the_core_walk(monkeypatch):
+    # a core whose m1 passes the digits of the limit grows no longer core, so
+    # the walk makes 765 calls, not 11,061; the recursion goes through the
+    # module global, so the patch sees every call
+    walk = search._fixed_point_walk
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        walk(*args)
+
+    monkeypatch.setattr(search, "_fixed_point_walk", recording)
+    for base in range(2, 21):
+        count_fixed_points(base)
+    assert len(calls) == 765
 
 
 def test_default_budget_lists_base_23_and_refuses_base_24():
@@ -545,7 +563,7 @@ def test_default_budget_lists_base_23_and_refuses_base_24():
         enumerate_fixed_points(24)
 
 
-@pytest.mark.parametrize("base", range(2, 17))
+@pytest.mark.parametrize("base", range(2, 37))
 def test_no_fixed_point_is_longer_than_the_cap(base):
     # the core walk ends without a length limit, so a limit far past the cap
     # shows every fixed point there is
