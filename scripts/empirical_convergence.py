@@ -16,21 +16,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from peadyn import DEFAULT_MAX_STEPS, MAX_BASE, MIN_BASE, canonical_cycle, format_word, length_bound, orbit
+from peadyn.cli import _comma_bases, _positive_int
 
 
 def _bases(text: str) -> tuple[int, ...]:
-    bases = tuple(int(part) for part in text.split(","))
+    bases = _comma_bases(text)
     for base in bases:
         if not MIN_BASE <= base <= MAX_BASE:
             raise argparse.ArgumentTypeError(f"base {base} is outside {MIN_BASE}..{MAX_BASE}")
     return bases
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
 
 
 def run_base(cfg: argparse.Namespace, base: int, rng: random.Random) -> None:

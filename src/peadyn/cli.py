@@ -67,14 +67,28 @@ def _key_values(pairs: list[tuple[str, object]]) -> list[str]:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
 
 
+def _comma_bases(text: str) -> tuple[int, ...]:
+    """The bases of a comma separated list, naming the first part that is not an integer."""
+    bases = []
+    for part in text.split(","):
+        try:
+            bases.append(int(part))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"base {part!r} is not an integer") from None
+    return tuple(bases)
+
+
 def _base_list(text: str) -> tuple[int, ...]:
-    bases = tuple(int(part) for part in text.split(","))
+    bases = _comma_bases(text)
     for k in bases:
         if k not in EXPECTED_FIXED_POINTS:
             choices = ",".join(str(b) for b in sorted(EXPECTED_FIXED_POINTS))

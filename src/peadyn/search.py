@@ -71,8 +71,9 @@ A third cut spares h itself. Let F be the digit support of the core's
 numerals. The numerals of M have support F plus the letter 1 if m1 > 0, h
 gives each letter of that support a count >= 2 and every other letter 1, so
 h(M) = M only if that support has exactly len(core) letters. The walk
-carries F down as a digit tally and its number of letters, updated as each
-count is pushed and popped, and calls h only on the candidates that pass.
+carries F down as an int with one bit per letter, each count ORing in the
+bits of its digits, and yields only the candidates that pass;
+``_fixed_point_families`` applies h to them.
 
 A fourth cut, the m1 cut, comes from the largest count. Write the core as
 c_1 <= ... <= c_s and e(c) = c - len(c) - 1, so m1 = sum(e(c_i)). Then the
@@ -83,8 +84,8 @@ counts before the largest add at most its digits to m1:
 If m1 > 0, the m1 counts of 1 are spelled "1", so the letter 1 is in the
 support and its image count, at least m1 + 1, is a core count: c_s >= m1 + 1,
 which rearranges to the bound. If m1 = 0, the left side is -e(c_s) =
-len(c_s) + 1 - c_s < len(c_s), as c_s >= 2. The walk uses it twice. It calls
-h on a core ending in c only if the m1 of the counts before c is at most
+len(c_s) + 1 - c_s < len(c_s), as c_s >= 2. The walk uses it twice. It
+yields a core ending in c only if the m1 of the counts before c is at most
 len(c). And it grows no longer core from one whose m1 passes the digits of
 the length limit, which no count has more of: a longer core holds all of
 this one before its largest count, and the counts it adds before that one
@@ -92,8 +93,8 @@ lower m1 only if they are count 2 of base 2. So the walk still grows a core
 whose last count lowered m1, and past a count >= 3 no count does. This use
 needs the limit's digits, so the core-size cut is still what keeps the walk
 finite with no limit. At the caps of bases 2..36 the walk grows 26,040
-cores in 2,509 calls and calls h 1,235 times; without the m1 cut it grew
-517,905 cores and called h 52,922 times.
+cores in 2,509 calls and yields 1,235 of them to h; without the m1 cut
+it grew 517,905 cores and called h 52,922 times.
 """
 
 from __future__ import annotations
@@ -171,7 +172,6 @@ class ClassificationReport(NamedTuple):
     base: int
     fixed_points: tuple[Word, ...]
     cycles: tuple[CycleRecord, ...]
-    search_length_limit: int
 
 
 def word_sort_key(word: Word) -> tuple[int, Word]:
@@ -191,47 +191,34 @@ def _cycle_record(tallies: Iterable[Sequence[int]], base: int) -> CycleRecord:
 
 
 def _fixed_point_walk(
-    base: int,
-    limit: int,
-    families: list[tuple[tuple[Tally, ...], int]],
-    low: int,
-    core: tuple[int, ...],
-    length: int,
-    ones: int,
-    digits: list[int],
-    letters: int,
-) -> None:
-    """Append the family of every fixed point whose core extends ``core`` by counts >= low.
+    base: int, limit: int, room: int, low: int = 2, core: tuple[int, ...] = (),
+    length: int = 0, ones: int = 0, support: int = 0,
+) -> Iterator[tuple[int, ...]]:
+    """Yield the candidate (1,) * m1 + core for each core that extends ``core`` by counts >= low.
 
-    ``length`` is the sum of ``core``, ``ones`` its m1 so far, ``digits`` the
-    tally of its numerals' digits and ``letters`` the size of their support F.
-    The cores come as nondecreasing tuples, and only those that the cuts of
-    the module docstring leave standing reach ``_count_image``.
+    ``length`` is the sum of ``core``, ``ones`` its m1 so far and ``support``
+    its numerals' digit support F, one bit per letter; ``room`` is the digits
+    of the limit. The cores come as nondecreasing tuples, and only those that
+    the cuts of the module docstring leave standing are yielded.
     """
     size = len(core) + 1  # of each grown core
     if size > base:
         return
-    room = len(_numeral_digits(limit, base))  # no count has more digits
     for c in range(low, limit + 1):
         numeral = _numeral_digits(c, base)
         extra = c - len(numeral) - 1  # what c adds to m1
         m1 = ones + extra
         if length + c + m1 > limit or (extra >= 0 and size + m1 > base):
             return
+        bits = support
         for d in numeral:
-            letters += not digits[d]
-            digits[d] += 1
-        # the support cut, then the m1 cut: the counts before the largest add at most its digits to m1
+            bits |= 1 << d
         grown = core + (c,)
-        if m1 >= 0 and letters + (m1 > 0 and not digits[1]) == size and ones <= len(numeral):
-            counts = (1,) * m1 + grown
-            if _count_image(counts, base) == counts:
-                families.append(_family((counts,), base))
+        # the support cut, then the m1 cut: the counts before the largest add at most its digits to m1
+        if m1 >= 0 and (bits | (m1 > 0) << 1).bit_count() == size and ones <= len(numeral):
+            yield (1,) * m1 + grown
         if m1 <= room or extra < 0:  # else no larger count ends a fixed point
-            _fixed_point_walk(base, limit, families, c, grown, length + c, m1, digits, letters)
-        for d in numeral:
-            digits[d] -= 1
-            letters -= not digits[d]
+            yield from _fixed_point_walk(base, limit, room, c, grown, length + c, m1, bits)
 
 
 def _fixed_point_families(base: int, length_limit: int | None) -> list[tuple[tuple[Tally, ...], int]]:
@@ -240,9 +227,8 @@ def _fixed_point_families(base: int, length_limit: int | None) -> list[tuple[tup
     limit = length_bound(base).length_bound if length_limit is None else length_limit
     if limit < 1:
         raise ValueError(f"length limit must be positive, got {limit}")
-    families: list[tuple[tuple[Tally, ...], int]] = []
-    _fixed_point_walk(base, limit, families, 2, (), 0, 0, [0] * base, 0)
-    return families
+    walk = _fixed_point_walk(base, limit, len(_numeral_digits(limit, base)))  # no count has more digits
+    return [_family((counts,), base) for counts in walk if _count_image(counts, base) == counts]
 
 
 def _family(cycle: tuple[tuple[int, ...], ...], base: int) -> tuple[tuple[Tally, ...], int]:
@@ -259,9 +245,9 @@ def _family(cycle: tuple[tuple[int, ...], ...], base: int) -> tuple[tuple[Tally,
     return tuple(map(tuple, tallies)), len(cycle[0]) - len(support)
 
 
-def _family_size(forced: tuple[Tally, ...], ones: int) -> int:
-    """How many members the family (forced, ones) has: one per choice of its free letters."""
-    return comb(forced[0].count(0), ones)
+def _words(families: Iterable[tuple[tuple[Tally, ...], int]]) -> int:
+    """How many words the families hold: a member per choice of free letters, a word per forced tally."""
+    return sum(len(forced) * comb(forced[0].count(0), ones) for forced, ones in families)
 
 
 def _family_members(forced: tuple[Tally, ...], ones: int) -> Iterator[list[list[int]]]:
@@ -280,7 +266,7 @@ def count_fixed_points(base: int, length_limit: int | None = None) -> int:
     Sums the family sizes without listing a word, so it takes no budget and
     reaches base 36, whose 4,294,967,926 fixed points no list could hold.
     """
-    return sum(_family_size(*family) for family in _fixed_point_families(base, length_limit))
+    return _words(_fixed_point_families(base, length_limit))
 
 
 def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget: int | None = None) -> set[Word]:
@@ -296,7 +282,7 @@ def enumerate_fixed_points(base: int, length_limit: int | None = None, *, budget
     """
     families = _fixed_point_families(base, length_limit)
     allowed = DEFAULT_BUDGET if budget is None else budget
-    needed = sum(_family_size(*family) for family in families)
+    needed = _words(families)
     if needed > allowed:
         raise BudgetExceeded(f"fixed point search in base {base} needs {needed} words, budget is {allowed}")
     return {_spell(member[0], base) for family in families for member in _family_members(*family)}
@@ -344,7 +330,6 @@ def enumerate_cycles(
     families' words, summed from the family sizes, and the first slice that
     passes the budget raises ``BudgetExceeded`` before any word is spelled.
     """
-    check_base(base)
     cap = length_bound(base).length_bound
     limit = cap if length_limit is None else length_limit
     if limit < 2:
@@ -361,7 +346,7 @@ def enumerate_cycles(
                 forced, ones = _family(cycle, base)
                 if ones >= 0:  # else |U| > r and the family is empty
                     families.append((forced, ones))
-        needed = sum(len(forced) * _family_size(forced, ones) for forced, ones in families)
+        needed = _words(families)
         if needed > allowed:
             raise BudgetExceeded(f"cycle search in base {base} needs at least {needed} words, budget is {allowed}")
     return {_cycle_record(member, base) for family in families for member in _family_members(*family)}
@@ -440,5 +425,4 @@ def brute_force_classify(
         base=base,
         fixed_points=tuple(sorted(fixed, key=word_sort_key)),
         cycles=tuple(cycles),
-        search_length_limit=max_len,
     )

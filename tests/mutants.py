@@ -52,8 +52,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/peadyn/search.py",
-        "if m1 >= 0 and letters",
-        "if m1 > 0 and letters",
+        "if m1 >= 0 and (bits",
+        "if m1 > 0 and (bits",
         "tests/test_search.py::test_fixed_points_match_expected_table",
     ),
     Mutant(
@@ -139,6 +139,18 @@ MUTANTS = (
         "if m1 <= room or extra < 0:",
         "if True:",
         "tests/test_search.py::test_m1_cut_spares_the_core_walk",
+    ),
+    Mutant(
+        "src/peadyn/search.py",
+        "bits |= 1 << d",
+        "bits = 1 << d",
+        "tests/test_search.py::test_fixed_points_match_expected_table",
+    ),
+    Mutant(
+        "src/peadyn/search.py",
+        "(m1 > 0) << 1",
+        "(m1 > 0) << 0",
+        "tests/test_search.py::test_fixed_points_match_expected_table",
     ),
 )
 

@@ -240,7 +240,11 @@ def test_verify_table_csv(capsys):
 
 
 def test_verify_table_unknown_base_rejected(capsys):
-    for bases, message in (("7", "no expected table for base 7"), ("2,3,2", "base 2 is given more than once")):
+    for bases, message in (
+        ("7", "no expected table for base 7"),
+        ("2,3,2", "base 2 is given more than once"),
+        ("2,x", "base 'x' is not an integer"),
+    ):
         with pytest.raises(SystemExit) as exc:
             main(["verify-table", "--bases", bases])
         captured = capsys.readouterr()
@@ -256,13 +260,18 @@ def test_verify_table_unknown_base_rejected(capsys):
         ["orbit", "-k", "2", "-w", "1", "--max-steps", "0"],
         ["fixed-points", "-k", "2", "--budget", "0"],
         ["cycles", "-k", "2", "--length-limit", "0"],
+        ["step", "-k", "2", "-w", "1", "-n", "abc"],
+        ["cycles", "-k", "2", "--budget", "1.5"],
     ],
 )
 def test_counts_must_be_positive(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "expected a positive integer, got 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the message names the value, never the parser's private type function
+    assert f"expected a positive integer, got {argv[-1]}" in err
+    assert "invalid" not in err
 
 
 def test_verify_table_corrupted_entry_unparseable(capsys, monkeypatch):

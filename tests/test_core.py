@@ -2,7 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peadyn import count_fixed_points, format_word, length_bound, orbit, parse_word, step
+from peadyn import (
+    brute_force_classify,
+    count_fixed_points,
+    enumerate_cycles,
+    enumerate_fixed_points,
+    format_word,
+    length_bound,
+    orbit,
+    parse_word,
+    step,
+)
 from peadyn.core import _digit_tally, _spell, _tally, _tally_image, check_word
 from peadyn.golden import EXPECTED_FIXED_POINTS
 from reference import ALPHABET, check_word_by_letter, naive_step, to_base
@@ -66,7 +76,15 @@ def test_step_rejects_bad_input():
 
 @pytest.mark.parametrize("base", [3.0, "3"])
 def test_non_integer_base_is_rejected(base):
-    for call in (length_bound, count_fixed_points, lambda k: step((1, 0), k)):
+    for call in (
+        length_bound,
+        count_fixed_points,
+        enumerate_fixed_points,
+        enumerate_cycles,
+        lambda k: brute_force_classify(k, 3),
+        lambda k: step((1, 0), k),
+        lambda k: orbit((1, 0), k),
+    ):
         with pytest.raises(ValueError, match=r"base must be in \[2, 36\], got 3"):
             call(base)
 

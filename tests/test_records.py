@@ -21,7 +21,7 @@ def test_reprs():
     )
     assert repr(length_bound(2)) == "BoundInfo(base=2, length_bound=8, words_up_to_bound=510)"
     assert repr(brute_force_classify(2, 4)) == (
-        "ClassificationReport(base=2, fixed_points=((1, 1, 1),), cycles=(), search_length_limit=4)"
+        "ClassificationReport(base=2, fixed_points=((1, 1, 1),), cycles=())"
     )
     assert repr(next(iter(enumerate_cycles(3)))) == (
         "CycleRecord(base=3, period=3, words=((1, 0, 2, 1, 0, 1, 1, 0), (1, 2, 1, 1, 1, 1, 0, 0), "

@@ -17,6 +17,8 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "empirical_converg
         pytest.param(["--max-length", "0"], "expected a positive integer, got 0", id="max-length-0"),
         pytest.param(["--max-steps", "0"], "expected a positive integer, got 0", id="max-steps-0"),
         pytest.param(["--samples", "-3"], "expected a positive integer, got -3", id="samples-negative"),
+        pytest.param(["--samples", "x"], "expected a positive integer, got x", id="samples-x"),
+        pytest.param(["--bases", "2,x"], "base 'x' is not an integer", id="2,x"),
     ],
 )
 def test_convergence_script_rejects_bases_out_of_range(argv, message):

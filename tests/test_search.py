@@ -264,7 +264,6 @@ def test_brute_force_small():
     report = brute_force_classify(2, 2)
     assert report.fixed_points == ()
     assert report.cycles == ()
-    assert report.search_length_limit == 2
     report = brute_force_classify(2, 3)
     assert [format_word(w) for w in report.fixed_points] == ["111"]
 
@@ -548,12 +547,38 @@ def test_m1_cut_spares_the_core_walk(monkeypatch):
 
     def recording(*args):
         calls.append(args)
-        walk(*args)
+        return walk(*args)
 
     monkeypatch.setattr(search, "_fixed_point_walk", recording)
     for base in range(2, 21):
         count_fixed_points(base)
     assert len(calls) == 765
+
+
+def test_walk_candidates_pass_the_cuts_by_the_referee(monkeypatch):
+    # each candidate the walk hands to h, read through the reference numerals:
+    # m1 is the excess of the core, the core's digits plus the 1 of a count of
+    # 1 hold one letter per core count, and the counts before the largest add
+    # at most its digits to m1
+    candidates = []
+
+    def recording(counts, base):
+        candidates.append((counts, base))
+        return _count_image(counts, base)
+
+    monkeypatch.setattr(search, "_count_image", recording)
+    for base in range(2, 37):
+        count_fixed_points(base)
+    assert len(candidates) == 1235
+    for counts, base in candidates:
+        core = [c for c in counts if c > 1]
+        m1 = len(counts) - len(core)
+        assert counts == (1,) * m1 + tuple(sorted(core))
+        excess = [c - len(to_base(c, base)) - 1 for c in core]
+        assert m1 == sum(excess)
+        support = set("".join(to_base(c, base) for c in core)) | ({"1"} if m1 > 0 else set())
+        assert len(support) == len(core)
+        assert sum(excess[:-1]) <= len(to_base(core[-1], base))
 
 
 def test_default_budget_lists_base_23_and_refuses_base_24():
