@@ -45,7 +45,8 @@ class Result(NamedTuple):
 
 def _emit(result: Result, args: argparse.Namespace) -> int:
     """Write ``result`` in the chosen format to stdout or ``--output``; return its exit code."""
-    fmt = args.format or ("table" if sys.stdout.isatty() else "json")
+    # a file is not a terminal, so only stdout on a terminal defaults to a table
+    fmt = args.format or ("table" if not args.output and sys.stdout.isatty() else "json")
     if fmt == "json":
         text = json.dumps(result.payload, indent=2) + "\n"
     elif fmt == "csv":

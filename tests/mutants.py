@@ -152,6 +152,24 @@ MUTANTS = (
         "(m1 > 0) << 0",
         "tests/test_search.py::test_fixed_points_match_expected_table",
     ),
+    Mutant(
+        "tests/checks.py",
+        "took < seconds",
+        "True",
+        "tests/test_checks.py::test_guard_asserts_the_time_bound",
+    ),
+    Mutant(
+        "tests/checks.py",
+        "peak < mb",
+        "True",
+        "tests/test_checks.py::test_guard_asserts_the_memory_bound",
+    ),
+    Mutant(
+        "src/peadyn/cli.py",
+        '"table" if not args.output and sys.stdout.isatty()',
+        '"table" if sys.stdout.isatty()',
+        "tests/test_cli.py::test_output_file_defaults_to_json_on_a_terminal",
+    ),
 )
 
 

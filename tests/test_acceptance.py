@@ -19,7 +19,6 @@ import time
 from contextlib import contextmanager
 
 from peadyn import (
-    brute_force_classify,
     enumerate_cycles,
     enumerate_fixed_points,
     format_word,
@@ -30,6 +29,7 @@ from peadyn import (
 )
 from peadyn.cli import main as cli_main
 from peadyn.core import _tally
+from checks import check_tally_oracle
 from reference import closes_under_step, cycle_inequality_holds, fixed_point_inequality_holds
 from reference import naive_step, to_base, verify_base2_convergence
 
@@ -117,18 +117,14 @@ def test_criterion_6_base3_cycle():
             assert closes_under_step(words, 3)
             assert len(set(record.words)) == record.period  # minimal by distinctness
             assert cycle_inequality_holds(words, 3)
-        oracle = brute_force_classify(3, 9)
-        assert set(oracle.cycles) == cycles
+        check_tally_oracle(3)
 
 
 def test_criterion_7_oracle_equivalence():
     with criterion(7, "pruned search equals brute force (fixed: k=2,3,4; cycles: k=2,3,4)"):
         start = time.monotonic()
         for base in (2, 3, 4):
-            bound = length_bound(base).length_bound
-            oracle = brute_force_classify(base, bound)
-            assert set(oracle.fixed_points) == enumerate_fixed_points(base)
-            assert set(oracle.cycles) == enumerate_cycles(base)
+            check_tally_oracle(base)
         elapsed = time.monotonic() - start
         assert elapsed < 300, f"took {elapsed:.0f}s, budget is 300s"
 

@@ -336,6 +336,15 @@ def test_output_file(capsys, tmp_path):
     assert target.read_text() == "base,word,length\n2,111,3\n2,1001110,7\n"
 
 
+def test_output_file_defaults_to_json_on_a_terminal(capsys, monkeypatch, tmp_path):
+    # a file is not a terminal, so only stdout on a terminal gets a table by default
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    target = tmp_path / "out.json"
+    assert run(capsys, "fixed-points", "-k", "3", "--output", str(target))[:2] == (0, "")
+    assert json.loads(target.read_text())["fixed_points"][:2] == ["22", "11110"]
+    assert run(capsys, "fixed-points", "-k", "3")[1].splitlines()[:2] == ["22", "11110"]
+
+
 def test_budget_environment_variable_is_not_read(capsys, monkeypatch):
     monkeypatch.setenv("PEADYN_BUDGET", "lots")
     code, out, _ = run(capsys, "fixed-points", "-k", "6", "--format", "json")

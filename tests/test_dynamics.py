@@ -13,6 +13,7 @@ from peadyn import (
     step,
 )
 from peadyn.dynamics import DEFAULT_MAX_STEPS, _walk
+from checks import check_orbit
 from reference import naive_orbit
 from test_core import bases_and_words
 
@@ -61,10 +62,7 @@ def test_orbit_transients_frozen(text, base, transient):
 @given(bases_and_words(max_base=6, max_len=25))
 def test_orbit_matches_reference(kw):
     base, word = kw
-    r = orbit(word, base)
-    transient, period, cycle = naive_orbit(format_word(word), base)
-    assert (r.transient, r.period) == (transient, period)
-    assert [format_word(w) for w in r.cycle] == cycle
+    check_orbit(word, base)
 
 
 def test_long_word_orbits_match_reference():
@@ -73,11 +71,7 @@ def test_long_word_orbits_match_reference():
     rng = random.Random(20171)
     for i in range(100):
         base = 2 + i % 35
-        word = tuple(rng.randrange(base) for _ in range(rng.randint(200, 2000)))
-        r = orbit(word, base)
-        transient, period, cycle = naive_orbit(format_word(word), base)
-        assert (r.transient, r.period) == (transient, period), (base, len(word))
-        assert [format_word(w) for w in r.cycle] == cycle
+        check_orbit(tuple(rng.randrange(base) for _ in range(rng.randint(200, 2000))), base)
 
 
 @settings(max_examples=150, deadline=None)

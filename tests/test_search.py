@@ -1,9 +1,7 @@
 import ast
 import gc
 import time
-from collections import Counter
 from itertools import combinations_with_replacement, product
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -22,7 +20,6 @@ from peadyn import (
     length_bound,
     parse_word,
     step,
-    word_sort_key,
 )
 from peadyn import search
 from peadyn.golden import EXPECTED_FIXED_POINTS
@@ -36,9 +33,9 @@ from peadyn.search import (
     _image_states,
 )
 from expected_cycles import EXPECTED_CYCLES
-from oracle_check import check_tally_oracle, texts
+from checks import cap_budget, check_by_words, check_cycle_periods, check_fixed_point_count, check_tally_oracle, texts
 from reference import description_space_fixed_points, image_words, naive_step, rotated, terminal_cycle, to_base
-from reference import verify_base2_convergence, word_by_word_classify
+from reference import verify_base2_convergence
 from reference import closes_under_step, cycle_inequality_holds, fixed_point_inequality_holds
 
 # The shipped expected table lists 18 words for base 6, but the search finds
@@ -62,12 +59,6 @@ def corrected_words(base):
     if base == 6:
         out.add(parse_word(EXTRA_BASE6_FIXED_POINT, 6))
     return out
-
-
-def report_texts(report):
-    """A ClassificationReport as word_by_word_classify spells it: fixed-point texts and cycles as text tuples."""
-    cycles = tuple(tuple(map(format_word, record.words)) for record in report.cycles)
-    return tuple(map(format_word, report.fixed_points)), cycles
 
 
 def tally(word, base):
@@ -119,10 +110,7 @@ def test_fixed_points_match_direct_image_sweep(base):
 # at the cap, and far past it, where the sweep's carries run long
 @pytest.mark.parametrize("base,max_len", [(2, 8), (3, 9), (2, 500), (3, 100)])
 def test_search_matches_brute_force(base, max_len):
-    report = brute_force_classify(base, max_len)
-    assert set(report.fixed_points) == enumerate_fixed_points(base)
-    assert set(report.cycles) == enumerate_cycles(base)
-    assert list(report.fixed_points) == sorted(report.fixed_points, key=word_sort_key)
+    check_tally_oracle(base, max_len)
 
 
 @pytest.mark.parametrize("base,longest", [(2, 15), (3, 10), (4, 8), (5, 7)])
@@ -130,7 +118,7 @@ def test_brute_force_matches_word_by_word(base, longest):
     # every max_len from 1, so the fixed points read off the registry are
     # checked against stepping every word at each cutoff, the shortest included
     for max_len in range(1, longest + 1):
-        assert report_texts(brute_force_classify(base, max_len)) == word_by_word_classify(base, max_len), max_len
+        check_by_words(base, max_len)
 
 
 def test_fixed_point_inequality_examples():
@@ -374,7 +362,7 @@ def test_long_limits_walk_few_states():
 @pytest.mark.parametrize("base, twos, threes", [(11, 63, 15), (12, 127, 21), (13, 255, 28), (14, 511, 36)])
 def test_cycle_periods_match_frozen_search(base, twos, threes):
     # cycles of period 2 and 3 the family-seeded tally search found before the count map
-    assert Counter(record.period for record in enumerate_cycles(base)) == {2: twos, 3: threes}
+    check_cycle_periods(base, {2: twos, 3: threes})
 
 
 def full_walk_cycles(base, limit):
@@ -517,9 +505,8 @@ def test_fixed_point_counts_match_frozen_search(base, count):
 
 
 def test_fixed_point_counts_of_every_base():
-    # observed, not derived: 2 and 7 at bases 2 and 3, then 2^(k - 4) + C(k, 2)
-    counts = [count_fixed_points(k) for k in range(2, 37)]
-    assert counts == [2, 7] + [2 ** (k - 4) + comb(k, 2) for k in range(4, 37)]
+    for base in range(2, 37):
+        check_fixed_point_count(base)
 
 
 def test_support_cut_spares_count_image(monkeypatch):
@@ -592,7 +579,7 @@ def test_default_budget_lists_base_23_and_refuses_base_24():
 def test_no_fixed_point_is_longer_than_the_cap(base):
     # the core walk ends without a length limit, so a limit far past the cap
     # shows every fixed point there is
-    assert count_fixed_points(base, 10**6) == count_fixed_points(base)
+    check_fixed_point_count(base)
 
 
 def test_base2_search_far_past_the_cap():
@@ -603,9 +590,7 @@ def test_base2_search_far_past_the_cap():
 
 @pytest.mark.parametrize("base", range(2, 10))
 def test_tally_oracle_matches_searches(base):
-    # the default budget refuses the caps of bases 8 and 9, so pass their tally counts
-    limit = length_bound(base).length_bound
-    check_tally_oracle(base, budget=comb(limit + base, base) - 1 if base >= 8 else None)
+    check_tally_oracle(base, budget=cap_budget(base) if base >= 8 else None)
 
 
 @settings(max_examples=300, deadline=None)
