@@ -30,23 +30,38 @@ of counts, unless it sends M to the sink, so the walk takes one r at a time
 and drops each slice's memo. Fact 2: every state of an h-cycle is an image,
 (1,) * (r - |core|) + core with core counts >= 2 whose excess D = sum(c - 1)
 is the number of digits of the previous state's r numerals, and that
-previous state is in the cycle too. Two cuts follow:
+previous state is in the cycle too. Three cuts follow:
 
 - Digit cap. A count is at most 1 + the digits of the previous state's
   r <= k numerals, so if the largest count of a cycle has d digits, then
   k^(d - 1) <= 1 + k * d. That caps d at dg, the digits of the length cap
   (4 at base 2, 3 at base 3, 2 from base 4 up), or of the length limit L
   if it is below the cap. So r <= D <= most = min(L - r, dg * r).
-- Second image. The previous state's excess is at most ``most`` too, and a
-  count with d digits has c - 1 >= k^(d - 1) - 1 >= (d - 1)(k - 1), so its
-  numerals have at most r + most // (k - 1) digits, which bounds D. From
-  base 4 up that leaves D <= r + 2.
+- Second image, to its fixed point. Say hi bounds the excess of every
+  state of the cycle, so of the previous state P of each state M. A count
+  with d digits has c - 1 >= k^(d - 1) - 1 >= (d - 1)(k - 1), so the r
+  numerals of P have at most r + hi // (k - 1) digits, and D(M) <=
+  min(hi, r + hi // (k - 1)) bounds every state too. The walk repeats this
+  step from hi = most until it changes nothing. From base 4 up, where
+  dg * r <= 2k < 3(k - 1), one step leaves D <= r + 2, and from base 5 up,
+  where k + 2 < 2(k - 1), the next leaves D <= r + 1, under any limit.
+- Core width. The core of M = h(P) has one count per letter of the digit
+  support of P's numerals. Say P has m counts of two or more digits, each
+  c >= k, so c - 1 >= k - 1, and its counts of one digit take j distinct
+  values, whose c - 1 are distinct and >= 0, so they add at least
+  0 + 1 + ... + (j - 1). Then m(k - 1) + j(j - 1)/2 <= D(P) <= hi, and the
+  support has at most j + dg * m letters: one per distinct one-digit count,
+  at most dg per longer numeral. So no core is wider than
+  width = min(r, max over m <= hi // (k - 1) of J(hi - m(k - 1)) + dg * m),
+  J(e) the largest j with j(j - 1)/2 <= e. At base 36 that is 9 counts
+  for r = 36, and 4 for r = 9.
 
-So a slice walks one state per partition of each such D into at most r
-parts, through ``dynamics._walk``, the walker of ``orbit`` and of the
-brute-force classifier, on one dict per slice. The walk is bounded by the
-base alone, at most 265,934 states (base 36, under any limit), so the
-cycle budget counts only the words listed.
+So a slice walks one state per partition of each such D into at most
+width parts, through ``dynamics._walk``, the walker of ``orbit`` and of
+the brute-force classifier, on one dict per slice. The walk is bounded by
+the base alone, at most 63,394 states (base 36, under any limit; 265,934
+with one step of the second image and no width cut), so the cycle budget
+counts only the words listed.
 
 Fixed points are the multisets with h(M) = M. Split M into its core, the
 counts >= 2, and m1 counts of 1. A fixed point renders its own description,
@@ -298,19 +313,48 @@ def _count_image(counts: tuple[int, ...], base: int) -> tuple[int, ...]:
 
 
 def _image_states(
-    r: int, most: int, least: int = 0, low: int = 2, core: tuple[int, ...] = ()
+    r: int, most: int, least: int, width: int, low: int = 2, core: tuple[int, ...] = ()
 ) -> Iterator[tuple[int, ...]]:
     """Yield (1,) * (r - |core|) + core for each extension of ``core`` whose excess is in least..most.
 
-    The extension appends nondecreasing counts >= low, up to r counts in all,
-    with ``least``/``most`` bounding the excess still to add, so each
-    partition of an excess into at most r parts, each part c - 1, comes once.
+    The extension appends nondecreasing counts >= low, up to ``width`` <= r
+    counts in all, with ``least``/``most`` bounding the excess still to add,
+    so each partition of an excess into at most ``width`` parts, each part
+    c - 1, comes once.
     """
     if least <= 0:
         yield (1,) * (r - len(core)) + core
-    if len(core) < r:
+    if len(core) < width:
         for c in range(low, most + 2):
-            yield from _image_states(r, most - c + 1, least - c + 1, c, core + (c,))
+            yield from _image_states(r, most - c + 1, least - c + 1, width, c, core + (c,))
+
+
+def _cycle_families(base: int, limit: int) -> Iterator[list[tuple[tuple[Tally, ...], int]]]:
+    """Yield the families of the h-cycles of period >= 2 that fit the limit, one list per r.
+
+    The slice walk and its cuts are in the module docstring; a family with
+    no members, whose digit support U has more than r letters, is not kept.
+    """
+    digits = len(_numeral_digits(min(limit, length_bound(base).length_bound), base))
+    for r in range(1, min(base, limit) + 1):
+        most = min(limit - r, digits * r)  # the excess D of any state of a cycle that fits
+        while most > r + most // (base - 1):  # the second image, to its fixed point
+            most = r + most // (base - 1)
+        width = 0  # the most core counts of an image of a state with excess <= most
+        for m in range(most // (base - 1) + 1):
+            j, left = 0, most - m * (base - 1)
+            while (j + 1) * j // 2 <= left:
+                j += 1
+            width = max(width, j + digits * m)
+        seen: dict[State, State] = {}
+        families = []
+        for counts in _image_states(r, most, r, min(r, width)):
+            cycle = _walk(counts, _count_image, base, seen, DEFAULT_MAX_STEPS)
+            if len(cycle) >= 2 and all(sum(state) <= limit for state in cycle):
+                forced, ones = _family(cycle, base)
+                if ones >= 0:  # else |U| > r and the family is empty
+                    families.append((forced, ones))
+        yield families
 
 
 def enumerate_cycles(
@@ -323,29 +367,18 @@ def enumerate_cycles(
 
     Complete for the default length limit (the eventual orbit length cap).
     Each cycle of period >= 2 of ``_count_image`` that fits is expanded into
-    its family of word cycles; the walk, one r at a time over the images of
-    h alone, is in the module docstring. A family with no members, whose
-    digit support U has more than r letters, is not kept. The budget caps
-    the words listed, default ``DEFAULT_BUDGET``: each slice adds its
-    families' words, summed from the family sizes, and the first slice that
-    passes the budget raises ``BudgetExceeded`` before any word is spelled.
+    its family of word cycles (``_cycle_families``). The budget caps the
+    words listed, default ``DEFAULT_BUDGET``: each slice adds its families'
+    words, summed from the family sizes, and the first slice that passes the
+    budget raises ``BudgetExceeded`` before any word is spelled.
     """
-    cap = length_bound(base).length_bound
-    limit = cap if length_limit is None else length_limit
+    limit = length_bound(base).length_bound if length_limit is None else length_limit
     if limit < 2:
         raise ValueError(f"cycle search needs a length limit of at least 2, got {limit}")
     allowed = DEFAULT_BUDGET if budget is None else budget
-    digits = len(_numeral_digits(min(limit, cap), base))
     families: list[tuple[tuple[Tally, ...], int]] = []
-    for r in range(1, min(base, limit) + 1):
-        most = min(limit - r, digits * r)  # the excess D of any state of a cycle that fits
-        seen: dict[State, State] = {}
-        for counts in _image_states(r, min(most, r + most // (base - 1)), r):
-            cycle = _walk(counts, _count_image, base, seen, DEFAULT_MAX_STEPS)
-            if len(cycle) >= 2 and all(sum(state) <= limit for state in cycle):
-                forced, ones = _family(cycle, base)
-                if ones >= 0:  # else |U| > r and the family is empty
-                    families.append((forced, ones))
+    for slice_families in _cycle_families(base, limit):
+        families += slice_families
         needed = _words(families)
         if needed > allowed:
             raise BudgetExceeded(f"cycle search in base {base} needs at least {needed} words, budget is {allowed}")

@@ -170,6 +170,30 @@ MUTANTS = (
         '"table" if sys.stdout.isatty()',
         "tests/test_cli.py::test_output_file_defaults_to_json_on_a_terminal",
     ),
+    Mutant(
+        "src/peadyn/search.py",
+        "while most > r + most // (base - 1):",
+        "if most > r + most // (base - 1):",
+        "tests/test_search.py::test_cycle_cuts_spare_count_image",
+    ),
+    Mutant(
+        "src/peadyn/search.py",
+        "_image_states(r, most, r, min(r, width))",
+        "_image_states(r, most, r, r)",
+        "tests/test_search.py::test_cycle_cuts_spare_count_image",
+    ),
+    Mutant(
+        "src/peadyn/search.py",
+        "(j + 1) * j // 2 <= left",
+        "(j + 1) * j // 2 < left",
+        "tests/test_search.py::test_cycle_walk_starts_from_every_cycle_state",
+    ),
+    Mutant(
+        "src/peadyn/search.py",
+        "width = max(width, j + digits * m)",
+        "width = max(width, j + digits * m - 1)",
+        "tests/test_search.py::test_cycle_walk_starts_from_every_cycle_state",
+    ),
 )
 
 

@@ -33,7 +33,8 @@ from peadyn.search import (
     _image_states,
 )
 from expected_cycles import EXPECTED_CYCLES
-from checks import cap_budget, check_by_words, check_cycle_periods, check_fixed_point_count, check_tally_oracle, texts
+from checks import cap_budget, check_by_words, check_cycle_cuts, check_cycle_periods, check_fixed_point_count
+from checks import check_tally_oracle, texts
 from reference import description_space_fixed_points, image_words, naive_step, rotated, terminal_cycle, to_base
 from reference import verify_base2_convergence
 from reference import closes_under_step, cycle_inequality_holds, fixed_point_inequality_holds
@@ -385,7 +386,7 @@ def image_walk_cycles(base, limit):
     found = set()
     for r in range(1, min(base, limit) + 1):
         seen, registry = {}, []
-        for counts in _image_states(r, min(limit - r, digits * r), r):
+        for counts in _image_states(r, min(limit - r, digits * r), r, r):
             # a guard of 8 steps: no walk needs more, which lets enumerate_cycles drop its own
             registry.append(_walk(counts, _count_image, base, seen, 8))
         found |= {rotated(c) for c in registry if len(c) >= 2 and all(sum(counts) <= limit for counts in c)}
@@ -413,6 +414,30 @@ def test_image_walk_finds_every_count_cycle(base, limit):
     assert enumerate_cycles(base, limit) == expanded
 
 
+@pytest.mark.parametrize("base, limit", IMAGE_WALK_CASES)
+def test_cycle_walk_starts_from_every_cycle_state(monkeypatch, base, limit):
+    # the cuts of the slice walk bound every state of an h-cycle, not only
+    # one: each state of each cycle of the full walk is a start of the walk,
+    # so a cut that drops a state fails here even if its cycle is still
+    # found from another state
+    starts = set()
+    walk = search._walk
+
+    def recording(start, *args):
+        starts.add(start)
+        return walk(start, *args)
+
+    monkeypatch.setattr(search, "_walk", recording)
+    enumerate_cycles(base, limit)
+    for cycle in full_walk_cycles(base, limit):
+        assert not set(cycle) - starts, (base, limit, cycle)
+
+
+@pytest.mark.parametrize("base", range(2, 13))
+def test_cycle_cuts_lose_no_family(base):
+    check_cycle_cuts(base)
+
+
 @pytest.mark.parametrize("r, excess", [(0, 3), (1, 5), (2, 9), (3, 12), (4, 4), (5, 4), (3, 0), (6, 17)])
 def test_image_states_yield_each_core_once(r, excess):
     expected = [
@@ -421,7 +446,7 @@ def test_image_states_yield_each_core_once(r, excess):
         for core in combinations_with_replacement(range(2, excess + 2), size)
         if sum(core) - size == excess
     ]
-    states = list(_image_states(r, excess, excess))
+    states = list(_image_states(r, excess, excess, r))
     assert len(states) == len(set(states))
     assert sorted(states) == sorted(expected)
 
@@ -523,6 +548,22 @@ def test_support_cut_spares_count_image(monkeypatch):
     for base in range(2, 21):
         count_fixed_points(base)
     assert len(candidates) == 371
+
+
+def test_cycle_cuts_spare_count_image(monkeypatch):
+    # the second image taken to its fixed point and the core width leave
+    # 11,018 states to h over bases 2..20; one step of the second image and
+    # cores of up to r counts left 24,686
+    states = []
+
+    def recording(counts, base):
+        states.append(counts)
+        return _count_image(counts, base)
+
+    monkeypatch.setattr(search, "_count_image", recording)
+    for base in range(2, 21):
+        enumerate_cycles(base)
+    assert len(states) == 11018
 
 
 def test_m1_cut_spares_the_core_walk(monkeypatch):
